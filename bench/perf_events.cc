@@ -31,15 +31,21 @@
  *   --force    overwrite BENCH_perf.json even when the existing file
  *              records a larger scale than this run (by default a
  *              smoke run refuses to clobber a scaled/full result).
+ *
+ * The sidecar carries a "host" record (CPU model, nproc, compiler,
+ * build type, git SHA) so tools/perf_gate.py can show which machine
+ * and build each side of a comparison came from.
  */
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/prof/prof.h"
@@ -143,6 +149,43 @@ recordedScale(const char *path)
     return text.substr(open + 1, close - open - 1);
 }
 
+/** Where and how this binary was built and run (the sidecar's "host"). */
+struct HostRecord
+{
+    std::string cpu = "unknown";
+    unsigned nproc = std::thread::hardware_concurrency();
+    std::string compiler = PERF_EVENTS_COMPILER;
+    std::string buildType = PERF_EVENTS_BUILD_TYPE;
+    std::string gitSha = "unknown";
+};
+
+HostRecord
+hostRecord()
+{
+    HostRecord h;
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        const auto colon = line.find(':');
+        if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+            h.cpu = line.substr(colon + 2);
+            break;
+        }
+    }
+    // The SHA of the checkout the bench runs in; "unknown" outside git.
+    if (FILE *git = popen("git rev-parse HEAD 2>/dev/null", "r")) {
+        char buf[64] = {};
+        if (std::fgets(buf, sizeof buf, git) != nullptr) {
+            std::string sha(buf);
+            sha.erase(sha.find_last_not_of("\r\n") + 1);
+            if (!sha.empty())
+                h.gitSha = sha;
+        }
+        pclose(git);
+    }
+    return h;
+}
+
 /**
  * Micro path: a fixed population of typed self-rescheduling actors
  * with varying (deterministic) delays, exercising insert/dequeue and
@@ -163,8 +206,8 @@ struct MicroActor final : sim::EventHandler
             return;
         --*remaining;
         state = state * 6364136223846793005ull + 1442695040888963407ull;
-        // Delays 0..1023 ns: a mix of same-timestamp batches and
-        // short hops across calendar buckets.
+        // Delays 0..1023 ns over 64 actors: a mix of same-timestamp
+        // ties (FIFO order) and short hops.
         queue->schedule((state >> 33) & 1023,
                         sim::EventKind::DriverTick, this);
     }
@@ -311,6 +354,12 @@ main(int argc, char **argv)
                  "against bench/perf_baseline.json from the same "
                  "machine)\n";
 
+    const HostRecord host = hostRecord();
+    std::cout << "host: cpu=\"" << host.cpu << "\" nproc=" << host.nproc
+              << " compiler=\"" << host.compiler
+              << "\" build=" << host.buildType << " git=" << host.gitSha
+              << "\n";
+
     const std::uint64_t microEvents =
         envCount("CUBESSD_PERF_MICRO_EVENTS", 4000000);
     const std::uint64_t requests =
@@ -346,6 +395,14 @@ main(int argc, char **argv)
     json.beginObject();
     json.field("bench", "perf_events");
     json.field("scale", bench::scaleName());
+    json.key("host");
+    json.beginObject();
+    json.field("cpu", host.cpu);
+    json.field("nproc", static_cast<std::uint64_t>(host.nproc));
+    json.field("compiler", host.compiler);
+    json.field("build_type", host.buildType);
+    json.field("git_sha", host.gitSha);
+    json.endObject();
     writePath(json, "micro", micro);
     writePath(json, "workload", workload);
     json.field("workload_requests", requests);

@@ -35,7 +35,7 @@
  * number the reports rank by, since inclusive times of nested slots
  * overlap. Slot::SimLoop wraps the event-loop drivers themselves, so
  * its inclusive time ~= the measured wall of a run (coverage check)
- * and its self time is the queue bookkeeping (peek/insert/advance).
+ * and its self time is the queue bookkeeping (pop/push/advance).
  *
  * Thread model: `setEnabled` must be called before sweep workers
  * spawn (thread creation publishes the flag); after that every thread
@@ -78,7 +78,7 @@ namespace cubessd::prof {
  */
 enum class Slot : std::uint8_t
 {
-    SimLoop = 0,           ///< EventQueue::run/step/runUntil drivers
+    SimLoop = 0,           ///< EventQueue::run drain loop
     SchedGeneric,          ///< dispatch of EventKind::Generic
     SchedChipOp,           ///< dispatch of EventKind::ChipOpComplete
     SchedRequestComplete,  ///< dispatch of EventKind::RequestComplete

@@ -30,12 +30,6 @@ static_assert(prof::schedSlotFor(
                   static_cast<std::uint8_t>(EventKind::TenantArrival)) ==
               prof::Slot::SchedTenantArrival);
 
-EventQueue::EventQueue()
-    : buckets_(kInitialBuckets, nullptr), bucketMask_(kInitialBuckets - 1),
-      curTop_(kBucketWidth)
-{
-}
-
 EventQueue::~EventQueue() = default;
 
 EventQueue::Event *
@@ -61,92 +55,63 @@ EventQueue::addPoolChunk()
 }
 
 void
-EventQueue::insert(Event *e)
+EventQueue::push(SimTime when, Event *e)
 {
-    if (pending_ >= buckets_.size() * 2)
-        growBuckets();
-    Event **p = &buckets_[(e->when >> kWidthLog2) & bucketMask_];
-    while (*p != nullptr &&
-           ((*p)->when < e->when ||
-            ((*p)->when == e->when && (*p)->seq < e->seq)))
-        p = &(*p)->next;
-    e->next = *p;
-    *p = e;
-    ++pending_;
+    if (when < now_)
+        panic("event scheduled in the past (when=%llu now=%llu)",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(now_));
+    // Sift up: move the hole from the new leaf toward the root while
+    // the parent is later, then drop the entry into it.
+    const Entry entry{when, nextSeq_++, e};
+    std::size_t i = heap_.size();
+    heap_.push_back(entry);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!(entry < heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = entry;
 }
 
-void
-EventQueue::growBuckets()
+EventQueue::Entry
+EventQueue::popMin()
 {
-    std::vector<Event *> old = std::move(buckets_);
-    buckets_.assign(old.size() * 2, nullptr);
-    bucketMask_ = buckets_.size() - 1;
-    // Relink every pending event into the wider calendar. insert()
-    // re-checks the growth threshold, but pending_ restarts from zero
-    // here and stays below the doubled threshold, so it cannot recurse.
-    pending_ = 0;
-    for (Event *head : old) {
-        while (head != nullptr) {
-            Event *next = head->next;
-            insert(head);
-            head = next;
-        }
+    const Entry top = heap_.front();
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0)
+        return top;
+    // Sift down: move the hole from the root toward the leaves along
+    // the earlier child until `last` fits.
+    std::size_t i = 0;
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap_[child + 1] < heap_[child])
+            ++child;
+        if (!(heap_[child] < last))
+            break;
+        heap_[i] = heap_[child];
+        i = child;
     }
-    // Reset the cursor to the clock's day: every pending event has
-    // when >= now_, so the dequeue invariant (no event earlier than the
-    // cursor's day) is re-established.
-    const SimTime day = now_ >> kWidthLog2;
-    curBucket_ = day & bucketMask_;
-    curTop_ = (day + 1) << kWidthLog2;
-}
-
-EventQueue::Event *
-EventQueue::peekMin()
-{
-    if (pending_ == 0)
-        return nullptr;
-    // Rotation scan: a bucket head is due when it lies inside the
-    // cursor's current day. Heads from an earlier year of the same
-    // bucket are also < curTop_ and therefore found, so the cursor can
-    // never skip past a pending event. While rotating, remember the
-    // smallest head seen: if a whole year passes with nothing due, that
-    // head is the global minimum (each bucket was examined once).
-    Event *minEv = nullptr;
-    std::size_t minBucket = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        Event *head = buckets_[curBucket_];
-        if (head != nullptr) {
-            if (head->when < curTop_)
-                return head;
-            if (minEv == nullptr || head->when < minEv->when ||
-                (head->when == minEv->when && head->seq < minEv->seq)) {
-                minEv = head;
-                minBucket = curBucket_;
-            }
-        }
-        curBucket_ = (curBucket_ + 1) & bucketMask_;
-        curTop_ += kBucketWidth;
-    }
-    curBucket_ = minBucket;
-    curTop_ = ((minEv->when >> kWidthLog2) + 1) << kWidthLog2;
-    return minEv;
+    heap_[i] = last;
+    return top;
 }
 
 void
 EventQueue::scheduleAt(SimTime when, EventKind kind, EventHandler *target,
                        const EventPayload &payload)
 {
-    if (when < now_)
-        panic("event scheduled in the past (when=%llu now=%llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(now_));
     Event *e = allocEvent();
-    e->when = when;
-    e->seq = nextSeq_++;
     e->kind = kind;
     e->target = target;
     e->payload = payload;
-    insert(e);
+    push(when, e);
 }
 
 SimTime
@@ -160,17 +125,11 @@ EventQueue::schedule(SimTime delay, EventAction action)
 void
 EventQueue::scheduleAt(SimTime when, EventAction action)
 {
-    if (when < now_)
-        panic("event scheduled in the past (when=%llu now=%llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(now_));
     Event *e = allocEvent();
-    e->when = when;
-    e->seq = nextSeq_++;
     e->kind = EventKind::Generic;
     e->target = nullptr;
     e->fn = std::move(action);
-    insert(e);
+    push(when, e);
 }
 
 void
@@ -227,16 +186,13 @@ EventQueue::step()
 {
     // No SimLoop scope here: the workload drivers call step() once per
     // event, and an umbrella scope per event would cost as much as the
-    // dispatch it wraps while its self time (peekMin + unlink) is
-    // negligible. run()/runUntil() keep the umbrella — they are called
-    // once per drain.
-    Event *e = peekMin();
-    if (e == nullptr)
+    // dispatch it wraps while its self time (one heap pop) is small.
+    // run() keeps the umbrella — it is called once per drain.
+    if (heap_.empty())
         return false;
-    buckets_[curBucket_] = e->next;
-    --pending_;
-    advanceClock(e->when);
-    dispatch(e);
+    const Entry top = popMin();
+    advanceClock(top.when);
+    dispatch(top.event);
     return true;
 }
 
@@ -245,51 +201,8 @@ EventQueue::run()
 {
     PROF_SCOPE(prof::Slot::SimLoop);
     std::uint64_t fired = 0;
-    while (pending_ != 0) {
-        Event *head = peekMin();
-        const SimTime when = head->when;
-        // Unlink the whole same-timestamp run in one pass; it is a
-        // contiguous, seq-ordered prefix of the bucket list. Events the
-        // dispatched handlers schedule at `when` get higher seqs and
-        // re-enter the bucket for the next iteration — the same order
-        // repeated step() would produce.
-        Event *tail = head;
-        std::size_t n = 1;
-        while (tail->next != nullptr && tail->next->when == when) {
-            tail = tail->next;
-            ++n;
-        }
-        buckets_[curBucket_] = tail->next;
-        tail->next = nullptr;
-        pending_ -= n;
-        fired += n;
-        advanceClock(when);
-        for (Event *cur = head; cur != nullptr;) {
-            Event *next = cur->next;   // dispatch() recycles the record
-            dispatch(cur);
-            cur = next;
-        }
-    }
-    return fired;
-}
-
-std::uint64_t
-EventQueue::runUntil(SimTime deadline)
-{
-    PROF_SCOPE(prof::Slot::SimLoop);
-    std::uint64_t fired = 0;
-    while (pending_ != 0) {
-        Event *e = peekMin();
-        if (e->when > deadline)
-            break;
-        buckets_[curBucket_] = e->next;
-        --pending_;
-        advanceClock(e->when);
-        dispatch(e);
+    while (step())
         ++fired;
-    }
-    if (now_ < deadline && pending_ == 0)
-        now_ = deadline;
     return fired;
 }
 

@@ -7,23 +7,19 @@
  * at an absolute SimTime. Events at equal times fire in scheduling order
  * (stable FIFO tie-break) so runs are deterministic.
  *
- * Implementation: a calendar queue (Brown, CACM 1988) over pooled typed
- * event records.
+ * Implementation: a binary min-heap of {when, seq, record} entries over
+ * pooled typed event records.
  *
  *  - Events live in a free-list pool backed by chunked arrays; once the
- *    pool has warmed up, scheduling allocates nothing.
- *  - The calendar is a power-of-2 array of buckets, each a singly-linked
- *    list kept sorted by (when, seq). An event at time `t` hashes to
- *    bucket `(t >> kWidthLog2) & mask`, i.e. buckets are "days" of
- *    2^kWidthLog2 ns and the array is a repeating "year".
- *  - Dequeue walks the bucket cursor forward one day at a time; a bucket
- *    head is due when its time falls inside the cursor's current day.
- *    If a full rotation finds nothing due (all events more than a year
- *    out), the minimum head seen during the rotation — which is the
- *    global minimum — is used directly and the cursor jumps to its day.
- *  - Two events with equal `when` always hash to the same bucket, and
- *    bucket lists are FIFO within equal times, so the seed's stable
- *    tie-break (and thus bit-identical runs) is preserved.
+ *    pool has warmed up, scheduling allocates nothing. The heap vector
+ *    likewise only grows to the high-water mark of pending events.
+ *  - The heap is keyed on (when, seq), a strict total order, so dequeue
+ *    is O(log n) whatever the spread of pending times: a lone event
+ *    milliseconds out costs the same as a same-timestamp batch. The
+ *    key sits inline in the heap entry, so sifting never touches the
+ *    pooled record.
+ *  - `seq` increases on every schedule call, which makes equal-time
+ *    dispatch FIFO and runs bit-identical.
  *
  * Typed events (EventKind + EventHandler target + POD payload) dispatch
  * via one virtual call with no heap traffic. Closure events
@@ -70,7 +66,7 @@ using SamplerFn = std::function<void(SimTime)>;
 class EventQueue
 {
   public:
-    EventQueue();
+    EventQueue() = default;
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -107,10 +103,10 @@ class EventQueue
     void scheduleAt(SimTime when, EventAction action);
 
     /** @return true if no events remain. */
-    bool empty() const { return pending_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** @return number of pending events. */
-    std::size_t pending() const { return pending_; }
+    std::size_t pending() const { return heap_.size(); }
 
     /** Total events fired over the queue's lifetime (perf metric). */
     std::uint64_t fired() const { return fired_; }
@@ -122,19 +118,10 @@ class EventQueue
     bool step();
 
     /**
-     * Run until the queue is empty. Events sharing a timestamp are
-     * dequeued as one batch (single cursor scan), then dispatched in
-     * seq order — observable behavior is identical to repeated step().
+     * Run until the queue is empty: repeated step().
      * @return number of events fired.
      */
     std::uint64_t run();
-
-    /**
-     * Run until the queue is empty or the clock would pass `deadline`.
-     * Events at exactly `deadline` still fire.
-     * @return number of events fired.
-     */
-    std::uint64_t runUntil(SimTime deadline);
 
     /**
      * Install a periodic sampling hook: before each event fires, `fn`
@@ -153,15 +140,10 @@ class EventQueue
     /** Event records ever allocated (pool high-water; test/bench hook). */
     std::size_t poolCapacity() const { return poolCapacity_; }
 
-    /** Current number of calendar buckets (test hook). */
-    std::size_t bucketCount() const { return buckets_.size(); }
-
   private:
-    /** Pooled event record; `next` doubles as bucket and free-list link. */
+    /** Pooled event record; `next` links the free list. */
     struct Event
     {
-        SimTime when = 0;
-        std::uint64_t seq = 0;   // FIFO tie-break for equal times
         Event *next = nullptr;
         EventHandler *target = nullptr;
         EventKind kind = EventKind::Generic;
@@ -169,37 +151,39 @@ class EventQueue
         EventAction fn;          // Generic events only
     };
 
-    /** Bucket ("day") width in log2 nanoseconds. */
-    static constexpr unsigned kWidthLog2 = 10;
-    static constexpr SimTime kBucketWidth = SimTime{1} << kWidthLog2;
-    static constexpr std::size_t kInitialBuckets = 1024;
+    /** Heap entry: the ordering key inline, the record out of line. */
+    struct Entry
+    {
+        SimTime when;
+        std::uint64_t seq;       // FIFO tie-break for equal times
+        Event *event;
+
+        bool
+        operator<(const Entry &o) const
+        {
+            return when < o.when || (when == o.when && seq < o.seq);
+        }
+    };
+
     static constexpr std::size_t kPoolChunk = 256;
 
     Event *allocEvent();
     void releaseEvent(Event *e) { e->next = freeList_; freeList_ = e; }
     void addPoolChunk();
 
-    void insert(Event *e);
-    void growBuckets();
+    /** Push a filled record at `when` (checked against the clock). */
+    void push(SimTime when, Event *e);
 
-    /**
-     * Locate (without unlinking) the earliest pending event; leaves the
-     * cursor on its bucket so it is that bucket's head. Returns nullptr
-     * when empty.
-     */
-    Event *peekMin();
+    /** Remove and return the earliest entry (heap must be non-empty). */
+    Entry popMin();
 
     /** Advance the sampler to `when` and set the clock (pre-dispatch). */
     void advanceClock(SimTime when);
 
-    /** Dispatch one unlinked event and release its record. */
+    /** Dispatch one popped event and release its record. */
     void dispatch(Event *e);
 
-    std::vector<Event *> buckets_;
-    std::size_t bucketMask_ = 0;
-    std::size_t curBucket_ = 0;   // next bucket the dequeue scan examines
-    SimTime curTop_ = 0;          // exclusive end of curBucket_'s day
-    std::size_t pending_ = 0;
+    std::vector<Entry> heap_;   // binary min-heap on (when, seq)
 
     std::vector<std::unique_ptr<Event[]>> poolChunks_;
     Event *freeList_ = nullptr;

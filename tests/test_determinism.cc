@@ -5,11 +5,9 @@
  * The simulator's contract is bit-identical replay: same config and
  * seed => same event sequence => same integer timestamps and stats.
  * These tests pin the exact end-to-end fingerprint of a small
- * fig17-style workload (captured from the calendar-queue scheduler
- * the day it landed, verified bit-identical to the std::function-heap
- * scheduler it replaced) so any future change that silently perturbs
- * event ordering — a different tie-break, a reordered schedule call,
- * a float sneaking into control flow — fails loudly here instead of
+ * fig17-style workload, so any change that silently perturbs event
+ * ordering — a different tie-break, a reordered schedule call, a
+ * float sneaking into control flow — fails loudly here instead of
  * subtly shifting every benchmark figure.
  *
  * Only integer observables are pinned (simulated times, counters);

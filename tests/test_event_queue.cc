@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -84,26 +85,6 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
     eq.schedule(1, [] {});
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(eq.step());
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.schedule(30, [&] { ++fired; });
-    EXPECT_EQ(eq.runUntil(20), 2u);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_EQ(eq.now(), 20u);
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
-{
-    EventQueue eq;
-    eq.runUntil(100);
-    EXPECT_EQ(eq.now(), 100u);
 }
 
 TEST(EventQueue, ScheduleAtAbsoluteTime)
@@ -209,11 +190,10 @@ TEST(EventQueue, SameTimestampFifoStressMixedKinds)
     EXPECT_LT(lastIndex[2], firstIndex[3]);
 }
 
-TEST(EventQueue, CalendarRolloverFarFuture)
+TEST(EventQueue, FarFutureEventsFireInOrder)
 {
-    // The initial calendar spans ~1M ns (1024 buckets x 1024 ns).
-    // Events several "years" out exercise the rotation fallback that
-    // jumps the cursor instead of scanning every intervening day.
+    // Pending times spread from 100 ns to 7.5 ms, scheduled out of
+    // order: each fires at its own time, earliest first.
     EventQueue eq;
     std::vector<std::uint64_t> log;
     std::vector<SimTime> times;
@@ -234,10 +214,10 @@ TEST(EventQueue, CalendarRolloverFarFuture)
                                     7'500'000}));
 }
 
-TEST(EventQueue, RepeatedYearJumpsKeepOrder)
+TEST(EventQueue, RepeatedMultiMsHopsKeepOrder)
 {
-    // A self-rescheduling actor that hops ~1.3 years per step: every
-    // dequeue goes through the full-rotation + cursor-jump path.
+    // A self-rescheduling actor that hops 1.35 ms per step, the only
+    // pending event each time: the clock advances by exactly one hop.
     EventQueue eq;
     int hops = 0;
     SimTime last = 0;
@@ -253,18 +233,16 @@ TEST(EventQueue, RepeatedYearJumpsKeepOrder)
     EXPECT_EQ(eq.now(), 50u * 1'350'000u);
 }
 
-TEST(EventQueue, BucketGrowthPreservesOrder)
+TEST(EventQueue, ManyPendingEventsFireInOrder)
 {
-    // Push pending above 2x the initial bucket count to force the
-    // calendar to resize mid-run, with pseudorandom times: output must
-    // still be sorted by time with FIFO tie-break.
+    // 5,000 events pending at once at pseudorandom times (with
+    // repeats): output must be sorted by time with FIFO tie-break.
     EventQueue eq;
     std::vector<std::uint64_t> log;
     RecordingHandler h;
     h.eq = &eq;
     h.log = &log;
 
-    const std::size_t bucketsBefore = eq.bucketCount();
     cubessd::Rng rng(42);
     constexpr std::uint64_t kEvents = 5000;
     std::vector<SimTime> when(kEvents);
@@ -272,9 +250,8 @@ TEST(EventQueue, BucketGrowthPreservesOrder)
         when[i] = rng.uniformInt(1u << 20);
         eq.scheduleAt(when[i], EventKind::DriverTick, &h, tagged(i));
     }
-    EXPECT_GT(eq.pending(), 2 * bucketsBefore);
+    EXPECT_EQ(eq.pending(), kEvents);
     eq.run();
-    EXPECT_GT(eq.bucketCount(), bucketsBefore);
 
     ASSERT_EQ(log.size(), kEvents);
     for (std::size_t i = 1; i < log.size(); ++i) {
@@ -286,6 +263,105 @@ TEST(EventQueue, BucketGrowthPreservesOrder)
                 << "FIFO tie-break violated at " << i;
         }
     }
+}
+
+/**
+ * Random schedule mixing typed and closure events, with delays from
+ * 0 ns to 10 ms and handlers that reschedule (zero delay included).
+ * Logs every schedule call's fire time (index = scheduling order, i.e.
+ * seq) and every dispatch.
+ */
+struct RandomScheduler final : EventHandler
+{
+    EventQueue eq;
+    cubessd::Rng rng{2024};
+    std::uint64_t budget = 20000;
+    std::vector<SimTime> scheduledAt;
+    std::vector<std::uint64_t> dispatched;
+
+    SimTime
+    randomDelay()
+    {
+        switch (rng.uniformInt(4)) {
+        case 0:
+            return 0;
+        case 1:
+            return rng.uniformInt(1024);
+        case 2:
+            return rng.uniformInt(100'000);
+        default:
+            return rng.uniformInt(10'000'001);
+        }
+    }
+
+    void
+    scheduleOne()
+    {
+        if (budget == 0)
+            return;
+        --budget;
+        const std::uint64_t id = scheduledAt.size();
+        const SimTime delay = randomDelay();
+        scheduledAt.push_back(eq.now() + delay);
+        if (rng.uniformInt(2) == 0)
+            eq.schedule(delay, EventKind::DriverTick, this, tagged(id));
+        else
+            eq.schedule(delay, [this, id] { fire(id); });
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        dispatched.push_back(id);
+        const std::uint64_t successors = rng.uniformInt(4);
+        for (std::uint64_t i = 0; i < successors; ++i)
+            scheduleOne();
+    }
+
+    void
+    onEvent(EventKind, const EventPayload &payload) override
+    {
+        fire(payload.raw.u0);
+    }
+
+    void
+    drain(bool byStep)
+    {
+        for (int i = 0; i < 64; ++i)
+            scheduleOne();
+        if (byStep) {
+            while (eq.step()) {
+            }
+        } else {
+            eq.run();
+        }
+    }
+};
+
+TEST(EventQueue, RandomScheduleMatchesReferenceOrder)
+{
+    RandomScheduler byRun;
+    byRun.drain(false);
+    ASSERT_EQ(byRun.budget, 0u) << "schedule died out early";
+    ASSERT_EQ(byRun.dispatched.size(), byRun.scheduledAt.size());
+
+    // Reference: the schedule log sorted by (when, seq); a stable sort
+    // on `when` keeps equal times in seq order.
+    std::vector<std::uint64_t> reference(byRun.scheduledAt.size());
+    for (std::uint64_t i = 0; i < reference.size(); ++i)
+        reference[i] = i;
+    std::stable_sort(reference.begin(), reference.end(),
+                     [&](std::uint64_t a, std::uint64_t b) {
+                         return byRun.scheduledAt[a] <
+                                byRun.scheduledAt[b];
+                     });
+    EXPECT_EQ(byRun.dispatched, reference);
+    EXPECT_EQ(byRun.eq.now(), byRun.scheduledAt[reference.back()]);
+
+    RandomScheduler byStep;
+    byStep.drain(true);
+    EXPECT_EQ(byStep.scheduledAt, byRun.scheduledAt);
+    EXPECT_EQ(byStep.dispatched, byRun.dispatched);
 }
 
 TEST(EventQueue, PoolGrowsOnceThenRecyclesRecords)

@@ -24,6 +24,11 @@ nearly flat; see MODEL_EVAL_SLOTS).
 Faster-than-baseline results never fail; they print a hint to re-pin
 the baseline when the improvement is large enough to look intentional.
 
+Every comparison first prints the host record (CPU model, nproc,
+compiler, build type, git SHA) of both files, "unknown" where a file
+has none, so a failure against a baseline pinned on another machine
+reads as a host mismatch rather than a code regression.
+
 Usage:
     python3 tools/perf_gate.py BENCH_perf.json [--baseline FILE]
                                [--tolerance 0.20]
@@ -41,6 +46,18 @@ PATHS = ("micro", "workload")
 # hot-path change re-introduced per-call transcendental work).
 MODEL_EVAL_SLOTS = ("nand.read.ber_eval", "nand.program.ispp")
 MODEL_EVAL_TOLERANCE = 0.20
+
+
+HOST_KEYS = ("cpu", "nproc", "compiler", "build_type", "git_sha")
+MACHINE_KEYS = HOST_KEYS[:-1]  # what must match for events/s to compare
+
+
+def host_line(doc, keys=HOST_KEYS):
+    """The file's host record on one line, or 'unknown'."""
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return "unknown"
+    return "  ".join(f"{k}={host.get(k, 'unknown')}" for k in keys)
 
 
 def load(path):
@@ -209,11 +226,22 @@ def main():
     result = load(args.result)
     baseline = load(args.baseline)
 
+    print(f"perf_gate: host result   {host_line(result)}")
+    print(f"perf_gate: host baseline {host_line(baseline)}")
     failed = gate_paths(result, baseline, args)
     report_profile_delta(result, baseline, args.result, args.baseline)
     failed = gate_model_eval(result, baseline) or failed
 
     if failed:
+        machine = host_line(result, MACHINE_KEYS)
+        if machine == "unknown" or machine != host_line(baseline, MACHINE_KEYS):
+            print(
+                "perf_gate: note: the result and the baseline do not "
+                "share a recorded host and build (see the 'host' lines), "
+                "so this may be a host mismatch rather than a code "
+                "regression.",
+                file=sys.stderr,
+            )
         print(
             f"perf_gate: FAIL -- events/s fell more than "
             f"{args.tolerance:.0%} below bench/perf_baseline.json. "
