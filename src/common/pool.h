@@ -51,9 +51,6 @@ class ObjectPool
     /** Objects currently in the free list. */
     std::size_t available() const { return free_.size(); }
 
-    /** Objects currently handed out. */
-    std::size_t inUse() const { return capacity_ - free_.size(); }
-
   private:
     void
     addChunk()

@@ -47,7 +47,6 @@ class CubeFtl : public FtlBase
             const ssd::CubeFeatures &features = {});
 
     const ssd::CubeFeatures &features() const { return features_; }
-    bool wamEnabled() const { return features_.wam; }
     const Ort &ort() const { return ort_; }
     const CubeFtlStats &cubeStats() const { return cubeStats_; }
 

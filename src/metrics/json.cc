@@ -5,6 +5,8 @@
 #include <ostream>
 
 #include "src/common/logging.h"
+#include "src/ftl/ftl_stats.h"
+#include "src/ftl/gc.h"
 
 namespace cubessd::metrics {
 
@@ -264,6 +266,56 @@ writeUtilization(JsonWriter &w, const Utilization &u)
         w.value(d);
     w.endArray();
     w.field("die_avg", u.averageDie());
+    w.endObject();
+}
+
+void
+writeFtlStats(JsonWriter &w, const ftl::FtlStats &s,
+              std::uint64_t bufferPeakPages)
+{
+    w.beginObject();
+    w.field("host_read_pages", s.hostReadPages);
+    w.field("host_write_pages", s.hostWritePages);
+    w.field("buffer_hits", s.bufferHits);
+    w.field("nand_reads", s.nandReads);
+    w.field("host_programs", s.hostPrograms);
+    w.field("gc_programs", s.gcPrograms);
+    w.field("leader_programs", s.leaderPrograms);
+    w.field("follower_programs", s.followerPrograms);
+    w.field("read_retries", s.readRetries);
+    w.field("safety_reprograms", s.safetyReprograms);
+    w.field("write_stalls", s.writeStalls);
+    w.field("write_amplification", s.writeAmplification());
+    w.field("avg_program_latency_us", s.avgProgramLatencyUs());
+    w.field("buffer_peak_pages", bufferPeakPages);
+    w.endObject();
+}
+
+void
+writeFailureStats(JsonWriter &w, const ftl::FtlStats &s)
+{
+    w.beginObject();
+    w.field("program_failures", s.programFailures);
+    w.field("erase_failures", s.eraseFailures);
+    w.field("retired_blocks", s.retiredBlocks);
+    w.field("bad_block_relocations", s.badBlockRelocations);
+    w.field("flush_replays", s.flushReplays);
+    w.field("uncorrectable_reads", s.uncorrectableReads);
+    w.field("read_only_rejects", s.readOnlyRejects);
+    w.field("rejected_requests", s.rejectedRequests);
+    w.endObject();
+}
+
+void
+writeGcStats(JsonWriter &w, const ftl::GcStats &gc)
+{
+    w.beginObject();
+    w.field("collections", gc.collections);
+    w.field("relocated_pages", gc.relocatedPages);
+    w.field("erases", gc.erases);
+    w.field("scan_reads", gc.scanReads);
+    w.field("programs", gc.programs);
+    w.field("avg_program_latency_us", gc.avgProgramLatencyUs());
     w.endObject();
 }
 

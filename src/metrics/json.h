@@ -14,6 +14,8 @@
  *                     "die": ..., "retry": ...}
  *   utilization:     {"window_us", "channel": [..], "die": [..],
  *                     "channel_avg", "die_avg"}
+ *   FTL, failure and GC counters: see writeFtlStats,
+ *                     writeFailureStats and writeGcStats
  */
 
 #ifndef CUBESSD_METRICS_JSON_H
@@ -25,6 +27,11 @@
 #include <vector>
 
 #include "src/metrics/request_metrics.h"
+
+namespace cubessd::ftl {
+struct FtlStats;
+struct GcStats;
+}  // namespace cubessd::ftl
 
 namespace cubessd::metrics {
 
@@ -84,6 +91,17 @@ void writeRequestMetrics(JsonWriter &w, const RequestMetrics &m);
 
 /** Channel/die busy fractions of one measurement window. */
 void writeUtilization(JsonWriter &w, const Utilization &u);
+
+/** FTL traffic counters, the leader/follower program split, read
+ *  retries, write amplification and the write buffer's peak. */
+void writeFtlStats(JsonWriter &w, const ftl::FtlStats &s,
+                   std::uint64_t bufferPeakPages);
+
+/** The failure-domain counters of FtlStats (fault injection). */
+void writeFailureStats(JsonWriter &w, const ftl::FtlStats &s);
+
+/** Garbage-collection counters. */
+void writeGcStats(JsonWriter &w, const ftl::GcStats &gc);
 
 }  // namespace cubessd::metrics
 

@@ -19,10 +19,6 @@ struct GcStats;
 class Ort;
 }  // namespace cubessd::ftl
 
-namespace cubessd::nand {
-struct NandChipStats;
-}
-
 namespace cubessd::metrics {
 
 /**

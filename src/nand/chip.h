@@ -90,7 +90,6 @@ class NandChip
     const ReadModel &readModel() const { return read_; }
     const ecc::EccModel &ecc() const { return ecc_; }
     const NandTiming &timing() const { return config_.timing; }
-    const FaultInjector &faultInjector() const { return faults_; }
     /** @} */
 
     /**
@@ -106,7 +105,6 @@ class NandChip
         // retention generation so all epoch-tagged terms recompute.
         terms_.bumpRetentionGen();
     }
-    const AgingState &baseAging() const { return baseAging_; }
 
     /** Aging epoch of a block (retention generation + erase count);
      *  changes exactly when the block's cached model terms change. */

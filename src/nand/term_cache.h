@@ -102,7 +102,6 @@ class ErrorTermCache
                   const AgingState &aging);
 
     const TermCacheCounters &counters() const { return counters_; }
-    void resetCounters() { counters_ = TermCacheCounters{}; }
 
     /** WL-level hit fraction in [0, 1]; 0 when no lookups happened. */
     double

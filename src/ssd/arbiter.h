@@ -72,11 +72,6 @@ class WrrArbiter final : public CompletionSink
     /** Register one submission queue. @return its index. */
     std::uint32_t addQueue(std::uint32_t weight);
 
-    std::uint32_t queueCount() const
-    {
-        return static_cast<std::uint32_t>(queues_.size());
-    }
-
     /**
      * Append a request to submission queue `queue`. If the shared
      * window has room and the WRR scan reaches this queue, it is

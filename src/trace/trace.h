@@ -95,12 +95,6 @@ class TraceSession
      */
     std::uint32_t addTrack(std::string name);
 
-    std::size_t trackCount() const { return trackNames_.size(); }
-    const std::string &trackName(std::uint32_t track) const
-    {
-        return trackNames_.at(track);
-    }
-
     /** Open a span on `track`. Spans on one track must nest. */
     void begin(std::uint32_t track, const char *name, SimTime ts,
                std::initializer_list<TraceArg> args = {});

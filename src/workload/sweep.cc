@@ -74,6 +74,7 @@ runOneCell(const SweepCell &cell, bool traceThisCell,
     result.ftl = dev.ftl().stats();
     result.gc = dev.ftl().gcStats();
     result.readOnly = dev.ftl().readOnly();
+    result.bufferPeakPages = dev.ftl().buffer().peakSize();
     if (prof::enabled())
         result.profile = prof::snapshot().since(profBefore);
 

@@ -73,6 +73,8 @@ struct CellResult
     ftl::FtlStats ftl;
     ftl::GcStats gc;
     bool readOnly = false;
+    /** Write-buffer occupancy high-water mark, in pages. */
+    std::uint64_t bufferPeakPages = 0;
     /** Self-profile delta of this cell's run, captured on the worker
      *  that executed it (empty unless prof::enabled()). Counts are
      *  deterministic; tick times are wall-clock noise. */

@@ -12,6 +12,7 @@
 #include "src/ftl/ftl_base.h"
 #include "src/nand/fault_injector.h"
 #include "src/ssd/ssd.h"
+#include "tests/callback_sink.h"
 
 namespace cubessd {
 namespace {
@@ -256,15 +257,16 @@ TEST(FaultDevice, QueueDepthOneBackpressureWithFailures)
     const std::uint64_t pages = dev.logicalPages();
     std::uint64_t completions = 0;
     std::uint64_t readOnlyCompletions = 0;
+    test::CallbackSink sink([&](const ssd::Completion &c) {
+        ++completions;
+        if (c.status == ssd::Status::ReadOnly)
+            ++readOnlyCompletions;
+    });
     for (Lba lba = 0; lba < pages; ++lba) {
         ssd::HostRequest req;
         req.type = ssd::IoType::Write;
         req.lba = lba;
-        dev.submitWithCallback(req, [&](const ssd::Completion &c) {
-            ++completions;
-            if (c.status == ssd::Status::ReadOnly)
-                ++readOnlyCompletions;
-        });
+        dev.submit(req, &sink);
     }
     dev.drain();
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/ssd/ssd.h"
+#include "tests/callback_sink.h"
 
 namespace cubessd {
 namespace {
@@ -76,12 +77,12 @@ TEST(HostQueue, BoundedDepthBlocksExtraSubmissionUntilCompletion)
     prepare(dev, 8);
 
     std::vector<ssd::Completion> completions;
-    for (Lba lba = 0; lba < 3; ++lba) {
-        dev.hostQueue().submitWithCallback(
-            readRequest(lba), [&completions](const ssd::Completion &c) {
-                completions.push_back(c);
-            });
-    }
+    test::CallbackSink sink(
+        [&completions](const ssd::Completion &c) {
+            completions.push_back(c);
+        });
+    for (Lba lba = 0; lba < 3; ++lba)
+        dev.hostQueue().submit(readRequest(lba), &sink);
     // Three submission events are pending; fire exactly those. The
     // first two take the queue's slots, the third must wait.
     for (int i = 0; i < 3; ++i)
@@ -119,12 +120,12 @@ TEST(HostQueue, SaturatedQueueLatencyIsMonotone)
 
     constexpr int kRequests = 8;
     std::vector<ssd::Completion> completions;
-    for (Lba lba = 0; lba < kRequests; ++lba) {
-        dev.hostQueue().submitWithCallback(
-            readRequest(lba), [&completions](const ssd::Completion &c) {
-                completions.push_back(c);
-            });
-    }
+    test::CallbackSink sink(
+        [&completions](const ssd::Completion &c) {
+            completions.push_back(c);
+        });
+    for (Lba lba = 0; lba < kRequests; ++lba)
+        dev.hostQueue().submit(readRequest(lba), &sink);
     dev.queue().run();
     ASSERT_EQ(completions.size(),
               static_cast<std::size_t>(kRequests));
@@ -148,13 +149,11 @@ TEST(HostQueue, DriverRunsThroughBoundedQueue)
     ssd::Ssd dev(smallConfig(4));
     prepare(dev, 32);
     std::uint64_t outstanding = 0;
+    test::CallbackSink sink(
+        [&outstanding](const ssd::Completion &) { --outstanding; });
     for (Lba lba = 0; lba < 32; ++lba) {
         ++outstanding;
-        dev.hostQueue().submitWithCallback(
-            readRequest(lba % 16),
-            [&outstanding](const ssd::Completion &) {
-                --outstanding;
-            });
+        dev.hostQueue().submit(readRequest(lba % 16), &sink);
     }
     dev.queue().run();
     EXPECT_EQ(outstanding, 0u);

@@ -11,14 +11,20 @@
  *   cubessd_sim --help
  */
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/cubessd.h"
@@ -52,9 +58,10 @@ struct Options
     bool verbose = false;
     std::string metricsOut;
     std::string traceOut;
-    std::size_t traceBuffer = std::size_t{1} << 18;
+    /** Unset = the trace ring buffer's default capacity. */
+    std::optional<std::size_t> traceBuffer;
+    /** Counter sampling period; defaults to 1 ms while tracing. */
     std::uint64_t sampleIntervalUs = 0;
-    bool sampleIntervalSet = false;
     bool listCounters = false;
     bool profile = false;
     std::string profileOut;
@@ -67,115 +74,68 @@ usage()
     std::cout <<
         "cubessd_sim - PS-aware 3D NAND SSD simulator (MICRO-52 "
         "reproduction)\n\n"
-        "options:\n"
-        "  --ftl <page|vert|cube|cube->   FTL to drive (default cube)\n"
-        "  --workload <mail|web|proxy|oltp|rocks|mongo>\n"
-        "                                 workload (default oltp)\n"
-        "  --pe <cycles>                  injected P/E wear (default 0)\n"
-        "  --retention <months>           injected retention (default 0)\n"
-        "  --blocks <n>                   blocks per chip (default 128;\n"
-        "                                 the paper's device uses 428)\n"
-        "  --requests <n>                 measured requests (default 30000)\n"
-        "  --seed <n>                     simulation seed (default 42)\n"
-        "  --seeds <n>                    run n independent seeds\n"
-        "                                 (seed..seed+n-1) and report the\n"
-        "                                 merged result: mean IOPS, merged\n"
-        "                                 latency percentiles, summed FTL\n"
-        "                                 counters (default 1)\n"
-        "  --jobs <n>                     worker threads for a --seeds\n"
-        "                                 sweep (default 1, or the\n"
-        "                                 CUBESSD_JOBS environment\n"
-        "                                 variable); results are merged\n"
-        "                                 deterministically in seed order,\n"
-        "                                 so output is bit-identical for\n"
-        "                                 any job count\n"
-        "  --prefill-overwrite <frac>     random-overwrite fraction of the\n"
-        "                                 working set before measuring\n"
-        "                                 (default 0.2)\n"
-        "  --qd <n>                       closed-loop host queue depth:\n"
-        "                                 keep n requests in flight through\n"
-        "                                 the bounded host queue (default:\n"
-        "                                 the workload's native pacing)\n"
-        "  --tenants <list>               multi-tenant mode: comma-\n"
-        "                                 separated tenant specs, each\n"
-        "                                 <name>:<workload>[:<key>=<val>]*\n"
-        "                                 with keys w= (WRR weight), slo=\n"
-        "                                 (latency target, e.g. 500us/2ms),\n"
-        "                                 rate= (open-loop arrivals/s),\n"
-        "                                 arrival= (poisson|bursty), burst=\n"
-        "                                 (mean batch of bursty arrivals),\n"
-        "                                 ns= (namespace fraction), trace=\n"
-        "                                 (request-content trace file);\n"
-        "                                 e.g. \"A:readhot:w=3:slo=500us,\n"
-        "                                 B:writeheavy:w=1:slo=2ms\"\n"
-        "  --tenant <spec>                add one tenant (repeatable;\n"
-        "                                 same grammar as --tenants)\n"
-        "  --open-loop                    pace tenants by independent\n"
-        "                                 arrival processes instead of\n"
-        "                                 fixed in-flight counts; demand\n"
-        "                                 does not slow down when the\n"
-        "                                 device falls behind, exposing\n"
-        "                                 SLO violations\n"
-        "  --load <frac>                  open-loop offered load as a\n"
-        "                                 fraction of the calibrated\n"
-        "                                 closed-loop capacity, split\n"
-        "                                 across rate-less tenants by\n"
-        "                                 weight (e.g. 0.8)\n"
-        "  --arb-burst <n>                WRR arbitration burst:\n"
-        "                                 consecutive commands per weight\n"
-        "                                 unit per round-robin visit\n"
-        "                                 (default 4); --qd sets the\n"
-        "                                 shared in-flight window\n"
-        "                                 (default 64)\n"
-        "  --metrics-out <file>           write the full run metrics as\n"
-        "                                 JSON: per-IoType latency\n"
-        "                                 percentiles (p50/p95/p99/p99.9),\n"
-        "                                 phase decomposition, channel and\n"
-        "                                 die utilization, FTL/GC stats,\n"
-        "                                 per-Status completion counts and\n"
-        "                                 failure-domain counters\n"
-        "  --fault-program <p>            per-WL program-failure base\n"
-        "                                 probability (enables injection)\n"
-        "  --fault-erase <p>              per-block erase-failure base\n"
-        "                                 probability (enables injection)\n"
-        "  --fault-read-limit <norm>      normalized-BER ceiling beyond\n"
-        "                                 which a read is uncorrectable\n"
-        "                                 (0 = unlimited; enables\n"
-        "                                 injection)\n"
-        "  --fault-wear-scale <x>         how strongly P/E wear amplifies\n"
-        "                                 fault probabilities (default 6)\n"
-        "  --trace-out <file>             record a Perfetto-loadable\n"
-        "                                 Chrome trace (request spans,\n"
-        "                                 per-die NAND ops, bus transfers,\n"
-        "                                 GC episodes, sampled counters);\n"
-        "                                 open at https://ui.perfetto.dev\n"
-        "  --trace-buffer <events>        trace ring-buffer capacity in\n"
-        "                                 events (default 262144; oldest\n"
-        "                                 events are dropped on overflow)\n"
-        "  --sample-interval-us <n>       counter sampling period in\n"
-        "                                 simulated microseconds (default\n"
-        "                                 1000 when --trace-out is given,\n"
-        "                                 else off; 0 disables)\n"
-        "  --list-counters                print the sampled counter names\n"
-        "                                 and units for this config, then\n"
-        "                                 exit\n"
-        "  --profile                      self-profile the measured run:\n"
-        "                                 attribute host wall-clock time\n"
-        "                                 to fixed simulator hot-path\n"
-        "                                 slots (scheduler dispatch, NAND\n"
-        "                                 BER/ISPP/retry models, FTL\n"
-        "                                 lookups, GC, bus, host queue,\n"
-        "                                 trace overhead) and print the\n"
-        "                                 breakdown table; in sweep mode\n"
-        "                                 also report per-worker load\n"
-        "                                 telemetry on stderr. Simulation\n"
-        "                                 results are bit-identical with\n"
-        "                                 profiling on or off\n"
-        "  --profile-out <file>           also write the profile as a\n"
-        "                                 JSON sidecar (implies\n"
-        "                                 --profile)\n"
-        "  --verbose                      print per-chip statistics\n"
-        "  --help                         this text\n";
+        "Runs one workload (default), a --seeds sweep, or --tenants on a\n"
+        "shared device. Numeric values must be finite and non-negative.\n\n"
+        "device and workload:\n"
+        "  --ftl <page|vert|cube|cube->  FTL to drive (default cube)\n"
+        "  --workload <name>            mail|web|proxy|oltp|rocks|mongo|\n"
+        "                               readhot|writeheavy (default oltp)\n"
+        "  --pe <cycles>                injected P/E wear (default 0)\n"
+        "  --retention <months>         injected retention (default 0)\n"
+        "  --blocks <n>                 blocks per chip (default 128; the\n"
+        "                               paper's device uses 428)\n"
+        "  --requests <n>               measured requests (default 30000)\n"
+        "  --seed <n>                   simulation seed (default 42)\n"
+        "  --prefill-overwrite <frac>   random-overwrite fraction of the\n"
+        "                               working set before measuring (0.2)\n"
+        "  --qd <n>                     closed loop: keep n requests in\n"
+        "                               flight through the bounded host\n"
+        "                               queue (default: native pacing)\n"
+        "sweep:\n"
+        "  --seeds <n>                  run seeds seed..seed+n-1 and report\n"
+        "                               mean IOPS, merged percentiles and\n"
+        "                               summed FTL counters (default 1)\n"
+        "  --jobs <n>                   sweep worker threads (default 1 or\n"
+        "                               CUBESSD_JOBS); output is bit-\n"
+        "                               identical for any job count\n"
+        "multi-tenant:\n"
+        "  --tenants <list>             comma-separated tenant specs\n"
+        "                               <name>:<workload>[:<key>=<val>]*,\n"
+        "                               keys w= (WRR weight), slo= (e.g.\n"
+        "                               500us), rate= (arrivals/s),\n"
+        "                               arrival= (poisson|bursty), burst=,\n"
+        "                               ns= (namespace fraction), trace=\n"
+        "  --tenant <spec>              add one tenant (repeatable)\n"
+        "  --open-loop                  independent arrival processes\n"
+        "                               instead of fixed in-flight counts\n"
+        "  --load <frac>                open-loop load as a fraction of the\n"
+        "                               calibrated closed-loop capacity\n"
+        "  --arb-burst <n>              WRR commands per weight unit per\n"
+        "                               visit (default 4); --qd sets the\n"
+        "                               shared window (default 64)\n"
+        "fault injection:\n"
+        "  --fault-program <p>          per-WL program-failure probability\n"
+        "  --fault-erase <p>            per-block erase-failure probability\n"
+        "  --fault-read-limit <norm>    normalized-BER ceiling of a\n"
+        "                               correctable read (0 = unlimited)\n"
+        "  --fault-wear-scale <x>       P/E amplification of the fault\n"
+        "                               probabilities (default 6)\n"
+        "outputs:\n"
+        "  --metrics-out <file>         write the run as one JSON document\n"
+        "                               (sections per mode: see README)\n"
+        "  --trace-out <file>           record a Perfetto-loadable trace\n"
+        "  --trace-buffer <events>      trace ring-buffer capacity (default\n"
+        "                               262144, oldest dropped; not with\n"
+        "                               --seeds)\n"
+        "  --sample-interval-us <n>     counter sampling period (default\n"
+        "                               1000 while tracing, else off)\n"
+        "  --list-counters              print the sampled counters, exit\n"
+        "  --profile                    attribute host wall-clock time to\n"
+        "                               simulator hot-path slots; results\n"
+        "                               are bit-identical with it on or off\n"
+        "  --profile-out <file>         also write the profile as JSON\n"
+        "  --verbose                    print per-chip statistics\n"
+        "  --help                       this text\n";
 }
 
 ssd::FtlKind
@@ -188,30 +148,64 @@ parseFtl(const std::string &name)
     fatal("unknown FTL '%s' (page|vert|cube|cube-)", name.c_str());
 }
 
+/**
+ * Look up a workload by name. `qd` > 0 replaces its native burst
+ * pacing with a steady stream of `qd` in-flight requests through the
+ * bounded host queue (closed-loop QD sweep).
+ */
 workload::WorkloadSpec
-parseWorkload(const std::string &name)
+parseWorkload(const std::string &name, std::uint32_t qd)
 {
-    for (const auto &spec : workload::allWorkloads()) {
-        std::string lower = spec.name;
-        for (auto &ch : lower)
-            ch = static_cast<char>(std::tolower(ch));
-        if (lower == name)
-            return spec;
+    auto spec = workload::findWorkload(name);
+    if (!spec)
+        fatal("unknown workload '%s' (mail|web|proxy|oltp|rocks|mongo|"
+              "readhot|writeheavy)", name.c_str());
+    if (qd > 0) {
+        spec->burstLength = 0;
+        spec->queueDepth = qd;
     }
-    fatal("unknown workload '%s' (mail|web|proxy|oltp|rocks|mongo)",
-          name.c_str());
+    return *spec;
+}
+
+/**
+ * Parse the value of a numeric flag. The whole string must be a
+ * finite, non-negative number in the range of T; anything else exits
+ * with status 2 and a message naming the flag.
+ */
+template <typename T>
+T
+parseNumber(const std::string &flag, const char *text)
+{
+    T v{};
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v) && v >= 0.0;
+    if (!ok) {
+        std::cerr << "cubessd_sim: invalid value '" << text << "' for "
+                  << flag << " (expected a non-negative "
+                  << (std::is_floating_point_v<T> ? "finite number)\n"
+                                                  : "integer in range)\n");
+        std::exit(2);
+    }
+    return v;
 }
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
+    std::optional<std::uint64_t> sampleIntervalUs;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
             if (i + 1 >= argc)
                 fatal("missing value for %s", arg.c_str());
             return argv[++i];
+        };
+        auto number = [&]<typename T>(T &out) {
+            out = parseNumber<T>(arg, value());
         };
         if (arg == "--help" || arg == "-h") {
             usage();
@@ -221,25 +215,23 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--workload") {
             opt.workload = value();
         } else if (arg == "--pe") {
-            opt.pe = static_cast<PeCycles>(std::atoi(value()));
+            number(opt.pe);
         } else if (arg == "--retention") {
-            opt.retentionMonths = std::atof(value());
+            number(opt.retentionMonths);
         } else if (arg == "--blocks") {
-            opt.blocks = static_cast<std::uint32_t>(std::atoi(value()));
+            number(opt.blocks);
         } else if (arg == "--requests") {
-            opt.requests =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            number(opt.requests);
         } else if (arg == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+            number(opt.seed);
         } else if (arg == "--seeds") {
-            opt.seedCount =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            number(opt.seedCount);
         } else if (arg == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::atoi(value()));
+            number(opt.jobs);
         } else if (arg == "--prefill-overwrite") {
-            opt.prefillOverwrite = std::atof(value());
+            number(opt.prefillOverwrite);
         } else if (arg == "--qd") {
-            opt.qd = static_cast<std::uint32_t>(std::atoi(value()));
+            number(opt.qd);
         } else if (arg == "--tenants") {
             if (const std::string err =
                     workload::parseTenantList(value(), &opt.tenants);
@@ -255,20 +247,17 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--open-loop") {
             opt.openLoop = true;
         } else if (arg == "--load") {
-            opt.load = std::atof(value());
+            number(opt.load);
         } else if (arg == "--arb-burst") {
-            opt.arbBurst = static_cast<std::uint32_t>(std::atoi(value()));
+            number(opt.arbBurst);
         } else if (arg == "--metrics-out") {
             opt.metricsOut = value();
         } else if (arg == "--trace-out") {
             opt.traceOut = value();
         } else if (arg == "--trace-buffer") {
-            opt.traceBuffer =
-                static_cast<std::size_t>(std::atoll(value()));
+            number(opt.traceBuffer.emplace());
         } else if (arg == "--sample-interval-us") {
-            opt.sampleIntervalUs =
-                static_cast<std::uint64_t>(std::atoll(value()));
-            opt.sampleIntervalSet = true;
+            number(sampleIntervalUs.emplace());
         } else if (arg == "--list-counters") {
             opt.listCounters = true;
         } else if (arg == "--profile") {
@@ -277,32 +266,66 @@ parseArgs(int argc, char **argv)
             opt.profileOut = value();
             opt.profile = true;
         } else if (arg == "--fault-program") {
-            opt.faults.programFailBase = std::atof(value());
+            number(opt.faults.programFailBase);
             opt.faults.enabled = true;
         } else if (arg == "--fault-erase") {
-            opt.faults.eraseFailBase = std::atof(value());
+            number(opt.faults.eraseFailBase);
             opt.faults.enabled = true;
         } else if (arg == "--fault-read-limit") {
-            opt.faults.uncorrectableNormLimit = std::atof(value());
+            number(opt.faults.uncorrectableNormLimit);
             opt.faults.enabled = true;
         } else if (arg == "--fault-wear-scale") {
-            opt.faults.wearScale = std::atof(value());
+            number(opt.faults.wearScale);
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {
             fatal("unknown option '%s' (try --help)", arg.c_str());
         }
     }
+    opt.sampleIntervalUs =
+        sampleIntervalUs.value_or(opt.traceOut.empty() ? 0 : 1000);
     return opt;
 }
 
-/** Host wall-clock seconds elapsed since `t0`, in nanoseconds. */
-double
-wallNsSince(std::chrono::steady_clock::time_point t0)
+/** Print the "device: ..." line and, for single-workload modes, the
+ *  "workload: ..." line. */
+void
+printBanner(const Options &opt, const ssd::SsdConfig &config,
+            const workload::WorkloadSpec *spec)
 {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    std::cout << "device: " << config.totalChips() << " chips x "
+              << opt.blocks << " blocks ("
+              << config.logicalPages() *
+                     config.chip.geometry.pageSizeBytes / kGiB
+              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
+              << '\n';
+    if (spec != nullptr)
+        std::cout << "workload: " << spec->name << " @ " << opt.pe
+                  << " P/E + " << opt.retentionMonths
+                  << " months retention\n";
+}
+
+/** The latency-percentile and FTL rows of the single-run and sweep
+ *  summary tables. */
+void
+addLatencyAndFtlRows(metrics::Table &table, const LatencyRecorder &readUs,
+                     const LatencyRecorder &writeUs,
+                     const ftl::FtlStats &stats)
+{
+    for (const double p : {50.0, 90.0, 99.0}) {
+        table.row({"write p" + metrics::format(p, 0) + " (ms)",
+                   metrics::format(writeUs.percentile(p) / 1000.0, 3)});
+        table.row({"read p" + metrics::format(p, 0) + " (ms)",
+                   metrics::format(readUs.percentile(p) / 1000.0, 3)});
+    }
+    table.row({"write amplification",
+               metrics::format(stats.writeAmplification(), 2)});
+    table.row({"avg program latency (us)",
+               metrics::format(stats.avgProgramLatencyUs(), 1)});
+    table.row({"leader / follower programs",
+               std::to_string(stats.leaderPrograms) + " / " +
+                   std::to_string(stats.followerPrograms)});
+    table.row({"read retries", std::to_string(stats.readRetries)});
 }
 
 /** Write a profile as a standalone {"profile": {...}} sidecar. */
@@ -322,11 +345,8 @@ writeProfileSidecar(const std::string &path,
     std::cout << "profile written to " << path << '\n';
 }
 
-/**
- * Per-worker load telemetry of a sweep, on stderr (never stdout: the
- * sweep's stdout is part of the --jobs bit-identity contract, and
- * wall times are machine noise).
- */
+/** Per-worker load telemetry of a sweep, on stderr: wall times are
+ *  machine noise, and a sweep's stdout is identical for any --jobs. */
 void
 reportWorkerTelemetry(const sim::SweepTelemetry &t)
 {
@@ -344,35 +364,56 @@ reportWorkerTelemetry(const sim::SweepTelemetry &t)
     }
 }
 
-/**
- * Write the full run metrics as a single JSON document: the run
- * configuration, throughput, per-IoType latency/phase histograms,
- * channel and die utilization, and the FTL/GC statistics. `profile`
- * (nullable) adds the self-profile of the measured run.
- */
-void
-writeMetricsFile(const std::string &path, const Options &opt,
-                 const ssd::Ssd &dev, const workload::RunResult &result,
-                 const trace::CounterRegistry *counters,
-                 const prof::ProfileData *profile, double profileWallNs)
+/** The outcome of one measured run: the `run` object of a metrics
+ *  document, or one entry of a sweep's `cells` array. */
+struct RunSummary
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open metrics file '%s'", path.c_str());
+    std::optional<std::uint64_t> seed{};    ///< sweep cells only
+    double iops = 0.0;
+    SimTime elapsed = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    bool readOnly = false;
+    std::optional<double> calibratedIops{}; ///< multi-tenant only
+};
 
-    metrics::JsonWriter w(out);
-    w.beginObject();
+/**
+ * The sections of a metrics document. Every mode carries the FTL
+ * stats (written as the "ftl" and "failures" objects) and the GC
+ * stats; writeMetrics() leaves the other null sections out.
+ */
+struct MetricsDocument
+{
+    const RunSummary *run = nullptr;
+    const std::vector<RunSummary> *cells = nullptr;
+    const workload::MultiTenantResult *tenants = nullptr;
+    const metrics::RequestMetrics *requests = nullptr;
+    const metrics::Utilization *utilization = nullptr;
+    const ftl::FtlStats *ftl = nullptr;
+    std::uint64_t bufferPeakPages = 0;
+    const ftl::GcStats *gc = nullptr;
+    const trace::CounterRegistry *timeseries = nullptr;
+    const prof::ProfileData *profile = nullptr;
+    double profileWallNs = 0.0;
+};
 
-    w.key("config");
+/** The run configuration: the keys every mode shares, then the
+ *  sweep's and the multi-tenant mode's own. */
+void
+writeConfig(metrics::JsonWriter &w, const Options &opt,
+            const ssd::SsdConfig &config)
+{
     w.beginObject();
     w.field("ftl", opt.ftl);
-    w.field("workload", opt.workload);
+    if (opt.tenants.empty())
+        w.field("workload", opt.workload);
     w.field("pe_cycles", static_cast<std::uint64_t>(opt.pe));
     w.field("retention_months", opt.retentionMonths);
     w.field("blocks_per_chip", static_cast<std::uint64_t>(opt.blocks));
     w.field("requests", opt.requests);
     w.field("seed", opt.seed);
-    w.field("queue_depth", static_cast<std::uint64_t>(opt.qd));
+    w.field("queue_depth",
+            static_cast<std::uint64_t>(config.hostQueueDepth));
     w.key("faults");
     w.beginObject();
     w.field("enabled", opt.faults.enabled);
@@ -382,212 +423,42 @@ writeMetricsFile(const std::string &path, const Options &opt,
             opt.faults.uncorrectableNormLimit);
     w.field("wear_scale", opt.faults.wearScale);
     w.endObject();
-    w.endObject();
-
-    w.key("run");
-    w.beginObject();
-    w.field("iops", result.iops);
-    w.field("elapsed_s", toSeconds(result.elapsed));
-    w.field("completed", result.completedRequests);
-    w.field("failed", result.failedRequests());
-    w.field("read_only", dev.ftl().readOnly());
-    w.endObject();
-
-    w.key("requests");
-    metrics::writeRequestMetrics(w, result.requestMetrics);
-
-    w.key("utilization");
-    metrics::writeUtilization(w, result.utilization);
-
-    const auto &stats = dev.ftl().stats();
-    w.key("ftl");
-    w.beginObject();
-    w.field("host_read_pages", stats.hostReadPages);
-    w.field("host_write_pages", stats.hostWritePages);
-    w.field("buffer_hits", stats.bufferHits);
-    w.field("nand_reads", stats.nandReads);
-    w.field("host_programs", stats.hostPrograms);
-    w.field("gc_programs", stats.gcPrograms);
-    w.field("leader_programs", stats.leaderPrograms);
-    w.field("follower_programs", stats.followerPrograms);
-    w.field("read_retries", stats.readRetries);
-    w.field("safety_reprograms", stats.safetyReprograms);
-    w.field("write_stalls", stats.writeStalls);
-    w.field("write_amplification", stats.writeAmplification());
-    w.field("avg_program_latency_us", stats.avgProgramLatencyUs());
-    w.field("buffer_peak_pages",
-            static_cast<std::uint64_t>(dev.ftl().buffer().peakSize()));
-    w.endObject();
-
-    w.key("failures");
-    w.beginObject();
-    w.field("program_failures", stats.programFailures);
-    w.field("erase_failures", stats.eraseFailures);
-    w.field("retired_blocks", stats.retiredBlocks);
-    w.field("bad_block_relocations", stats.badBlockRelocations);
-    w.field("flush_replays", stats.flushReplays);
-    w.field("uncorrectable_reads", stats.uncorrectableReads);
-    w.field("read_only_rejects", stats.readOnlyRejects);
-    w.field("rejected_requests", stats.rejectedRequests);
-    w.endObject();
-
-    const auto &gc = dev.ftl().gcStats();
-    w.key("gc");
-    w.beginObject();
-    w.field("collections", gc.collections);
-    w.field("relocated_pages", gc.relocatedPages);
-    w.field("erases", gc.erases);
-    w.field("scan_reads", gc.scanReads);
-    w.field("programs", gc.programs);
-    w.field("avg_program_latency_us", gc.avgProgramLatencyUs());
-    w.endObject();
-
-    if (counters != nullptr) {
-        w.key("timeseries");
-        counters->writeTimeseries(w);
+    // The job count is deliberately not recorded: a sweep's document
+    // must be byte-identical for any --jobs value.
+    if (opt.seedCount > 1)
+        w.field("seeds", opt.seedCount);
+    if (!opt.tenants.empty()) {
+        w.field("open_loop", opt.openLoop);
+        w.field("load", opt.load);
+        w.field("arb_burst", static_cast<std::uint64_t>(opt.arbBurst));
+        w.field("window",
+                static_cast<std::uint64_t>(opt.qd > 0 ? opt.qd : 64));
     }
-
-    if (profile != nullptr) {
-        w.key("profile");
-        prof::writeJson(w, *profile, profileWallNs);
-    }
-
     w.endObject();
-    out << '\n';
 }
 
-/**
- * Write the merged metrics of a --seeds sweep as a single JSON
- * document: the run configuration, one summary object per seed (in
- * seed order), the merged per-IoType latency/phase histograms, and
- * the summed FTL/GC counters. Written once, from the main thread,
- * after the deterministic merge — never from sweep workers.
- */
 void
-writeSweepMetricsFile(const std::string &path, const Options &opt,
-                      const std::vector<workload::SweepCell> &cells,
-                      const std::vector<workload::CellResult> &results,
-                      const metrics::RequestMetrics &mergedRequests,
-                      const ftl::FtlStats &mergedFtl,
-                      const ftl::GcStats &mergedGc)
+writeRun(metrics::JsonWriter &w, const RunSummary &r)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open metrics file '%s'", path.c_str());
-
-    metrics::JsonWriter w(out);
     w.beginObject();
-
-    w.key("config");
-    w.beginObject();
-    w.field("ftl", opt.ftl);
-    w.field("workload", opt.workload);
-    w.field("pe_cycles", static_cast<std::uint64_t>(opt.pe));
-    w.field("retention_months", opt.retentionMonths);
-    w.field("blocks_per_chip", static_cast<std::uint64_t>(opt.blocks));
-    w.field("requests", opt.requests);
-    w.field("seed", opt.seed);
-    w.field("seeds", opt.seedCount);
-    // NOTE: the job count is deliberately NOT recorded — the metrics
-    // file must be byte-identical for any --jobs value.
-    w.field("queue_depth", static_cast<std::uint64_t>(opt.qd));
+    if (r.seed)
+        w.field("seed", *r.seed);
+    w.field("iops", r.iops);
+    w.field("elapsed_s", toSeconds(r.elapsed));
+    w.field("completed", r.completed);
+    w.field("failed", r.failed);
+    w.field("read_only", r.readOnly);
+    if (r.calibratedIops)
+        w.field("calibrated_iops", *r.calibratedIops);
     w.endObject();
-
-    w.key("cells");
-    w.beginArray();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        w.beginObject();
-        w.field("seed", cells[i].config.seed);
-        w.field("iops", r.run.iops);
-        w.field("elapsed_s", toSeconds(r.run.elapsed));
-        w.field("completed", r.run.completedRequests);
-        w.field("failed", r.run.failedRequests());
-        w.field("read_only", r.readOnly);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("requests");
-    metrics::writeRequestMetrics(w, mergedRequests);
-
-    w.key("ftl");
-    w.beginObject();
-    w.field("host_read_pages", mergedFtl.hostReadPages);
-    w.field("host_write_pages", mergedFtl.hostWritePages);
-    w.field("buffer_hits", mergedFtl.bufferHits);
-    w.field("nand_reads", mergedFtl.nandReads);
-    w.field("host_programs", mergedFtl.hostPrograms);
-    w.field("gc_programs", mergedFtl.gcPrograms);
-    w.field("leader_programs", mergedFtl.leaderPrograms);
-    w.field("follower_programs", mergedFtl.followerPrograms);
-    w.field("read_retries", mergedFtl.readRetries);
-    w.field("safety_reprograms", mergedFtl.safetyReprograms);
-    w.field("write_stalls", mergedFtl.writeStalls);
-    w.field("write_amplification", mergedFtl.writeAmplification());
-    w.field("avg_program_latency_us", mergedFtl.avgProgramLatencyUs());
-    w.endObject();
-
-    w.key("gc");
-    w.beginObject();
-    w.field("collections", mergedGc.collections);
-    w.field("relocated_pages", mergedGc.relocatedPages);
-    w.field("erases", mergedGc.erases);
-    w.field("scan_reads", mergedGc.scanReads);
-    w.field("programs", mergedGc.programs);
-    w.field("avg_program_latency_us", mergedGc.avgProgramLatencyUs());
-    w.endObject();
-
-    w.endObject();
-    out << '\n';
 }
 
-/**
- * Write the metrics of a multi-tenant run as a single JSON document:
- * the run configuration (tenant specs included), the aggregate
- * summary, and one object per tenant with its latency percentiles,
- * SLO accounting, arbitration counters and full request metrics.
- */
+/** One object per tenant: latency percentiles, SLO accounting,
+ *  arbitration counters and the full request metrics. */
 void
-writeMultiTenantMetricsFile(const std::string &path, const Options &opt,
-                            const ssd::Ssd &dev,
-                            const workload::MultiTenantResult &result,
-                            const trace::CounterRegistry *counters,
-                            const prof::ProfileData *profile,
-                            double profileWallNs)
+writeTenants(metrics::JsonWriter &w, const Options &opt,
+             const workload::MultiTenantResult &result)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open metrics file '%s'", path.c_str());
-
-    metrics::JsonWriter w(out);
-    w.beginObject();
-
-    w.key("config");
-    w.beginObject();
-    w.field("ftl", opt.ftl);
-    w.field("pe_cycles", static_cast<std::uint64_t>(opt.pe));
-    w.field("retention_months", opt.retentionMonths);
-    w.field("blocks_per_chip", static_cast<std::uint64_t>(opt.blocks));
-    w.field("requests", opt.requests);
-    w.field("seed", opt.seed);
-    w.field("open_loop", opt.openLoop);
-    w.field("load", opt.load);
-    w.field("arb_burst", static_cast<std::uint64_t>(opt.arbBurst));
-    w.field("window",
-            static_cast<std::uint64_t>(opt.qd > 0 ? opt.qd : 64));
-    w.endObject();
-
-    w.key("run");
-    w.beginObject();
-    w.field("iops", result.iops);
-    w.field("elapsed_s", toSeconds(result.elapsed));
-    w.field("completed", result.completed);
-    w.field("calibrated_iops", result.calibratedIops);
-    w.field("read_only", dev.ftl().readOnly());
-    w.endObject();
-
-    w.key("tenants");
     w.beginArray();
     for (std::size_t i = 0; i < result.tenants.size(); ++i) {
         const auto &t = result.tenants[i];
@@ -613,12 +484,9 @@ writeMultiTenantMetricsFile(const std::string &path, const Options &opt,
             const auto &h = t.metrics.latency(type);
             const std::string prefix =
                 type == ssd::IoType::Read ? "read" : "write";
-            w.field(prefix + "_p50_us",
-                    h.percentile(50.0) / 1000.0);
-            w.field(prefix + "_p99_us",
-                    h.percentile(99.0) / 1000.0);
-            w.field(prefix + "_p999_us",
-                    h.percentile(99.9) / 1000.0);
+            w.field(prefix + "_p50_us", h.percentile(50.0) / 1000.0);
+            w.field(prefix + "_p99_us", h.percentile(99.0) / 1000.0);
+            w.field(prefix + "_p999_us", h.percentile(99.9) / 1000.0);
         }
         w.key("arbitration");
         w.beginObject();
@@ -632,43 +500,156 @@ writeMultiTenantMetricsFile(const std::string &path, const Options &opt,
         w.endObject();
     }
     w.endArray();
+}
 
-    w.key("utilization");
-    metrics::writeUtilization(w, result.utilization);
+/**
+ * Write the metrics document of any mode: the configuration, then
+ * every section `doc` carries. A sweep calls this once, from the main
+ * thread, after the deterministic merge — never from sweep workers.
+ */
+void
+writeMetrics(const std::string &path, const Options &opt,
+             const ssd::SsdConfig &config, const MetricsDocument &doc)
+{
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot open metrics file '%s'", path.c_str());
 
-    const auto &stats = dev.ftl().stats();
+    metrics::JsonWriter w(out);
+    w.beginObject();
+    w.key("config");
+    writeConfig(w, opt, config);
+    if (doc.run != nullptr) {
+        w.key("run");
+        writeRun(w, *doc.run);
+    }
+    if (doc.cells != nullptr) {
+        w.key("cells");
+        w.beginArray();
+        for (const auto &cell : *doc.cells)
+            writeRun(w, cell);
+        w.endArray();
+    }
+    if (doc.tenants != nullptr) {
+        w.key("tenants");
+        writeTenants(w, opt, *doc.tenants);
+    }
+    if (doc.requests != nullptr) {
+        w.key("requests");
+        metrics::writeRequestMetrics(w, *doc.requests);
+    }
+    if (doc.utilization != nullptr) {
+        w.key("utilization");
+        metrics::writeUtilization(w, *doc.utilization);
+    }
     w.key("ftl");
-    w.beginObject();
-    w.field("host_read_pages", stats.hostReadPages);
-    w.field("host_write_pages", stats.hostWritePages);
-    w.field("buffer_hits", stats.bufferHits);
-    w.field("nand_reads", stats.nandReads);
-    w.field("host_programs", stats.hostPrograms);
-    w.field("gc_programs", stats.gcPrograms);
-    w.field("write_amplification", stats.writeAmplification());
-    w.endObject();
-
-    const auto &gc = dev.ftl().gcStats();
+    metrics::writeFtlStats(w, *doc.ftl, doc.bufferPeakPages);
+    w.key("failures");
+    metrics::writeFailureStats(w, *doc.ftl);
     w.key("gc");
-    w.beginObject();
-    w.field("collections", gc.collections);
-    w.field("relocated_pages", gc.relocatedPages);
-    w.field("erases", gc.erases);
-    w.endObject();
-
-    if (counters != nullptr) {
+    metrics::writeGcStats(w, *doc.gc);
+    if (doc.timeseries != nullptr) {
         w.key("timeseries");
-        counters->writeTimeseries(w);
+        doc.timeseries->writeTimeseries(w);
     }
-
-    if (profile != nullptr) {
+    if (doc.profile != nullptr) {
         w.key("profile");
-        prof::writeJson(w, *profile, profileWallNs);
+        prof::writeJson(w, *doc.profile, doc.profileWallNs);
     }
-
     w.endObject();
     out << '\n';
+    std::cout << "\nmetrics written to " << path << '\n';
 }
+
+/**
+ * The instrumented run of single-run and multi-tenant mode: the trace
+ * session and counter sampler cover the measured window only (not the
+ * prefill), as do the profile snapshot-delta and the wall clock.
+ */
+class MeasuredRun
+{
+  public:
+    template <typename Driver>
+    auto
+    run(const Options &opt, ssd::Ssd &dev, Driver &driver)
+    {
+        std::cout << "prefilling..." << std::flush;
+        dev.setAging({opt.pe, 0.0});
+        driver.prefill(opt.prefillOverwrite);
+        dev.setAging({opt.pe, opt.retentionMonths});
+
+        if (!opt.traceOut.empty()) {
+            trace::TraceConfig traceConfig;
+            if (opt.traceBuffer)
+                traceConfig.capacityEvents = *opt.traceBuffer;
+            trace_ = std::make_unique<trace::TraceSession>(traceConfig);
+            dev.attachTrace(trace_.get());
+        }
+        if (opt.sampleIntervalUs > 0) {
+            counters_ = std::make_unique<trace::CounterRegistry>();
+            dev.registerCounters(*counters_);
+            if (opt.profile)
+                prof::registerCounters(*counters_);
+            counters_->attachTrace(trace_.get());
+            counters_->installSampler(dev.queue(),
+                                      opt.sampleIntervalUs * 1000);
+        }
+
+        std::cout << " done\nrunning " << opt.requests << " requests..."
+                  << std::flush;
+        // Snapshot-delta around the measured run only: the prefill's
+        // cost is setup, not what --profile attributes.
+        const prof::ProfileData before =
+            opt.profile ? prof::snapshot() : prof::ProfileData{};
+        const auto t0 = std::chrono::steady_clock::now();
+        auto result = driver.run(opt.requests);
+        wallNs_ = std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+        if (opt.profile)
+            profile_ = prof::snapshot().since(before);
+        std::cout << " done\n\n";
+        return result;
+    }
+
+    /** Print the profile; write the metrics document (completing
+     *  `doc` from the device), the profile sidecar and the trace. */
+    void
+    finish(const Options &opt, ssd::Ssd &dev, MetricsDocument doc)
+    {
+        if (opt.profile) {
+            std::cout << '\n';
+            prof::report(std::cout, profile_, wallNs_);
+        }
+        if (!opt.metricsOut.empty()) {
+            doc.ftl = &dev.ftl().stats();
+            doc.bufferPeakPages = dev.ftl().buffer().peakSize();
+            doc.gc = &dev.ftl().gcStats();
+            doc.timeseries = counters_.get();
+            doc.profile = opt.profile ? &profile_ : nullptr;
+            doc.profileWallNs = wallNs_;
+            writeMetrics(opt.metricsOut, opt, dev.config(), doc);
+        }
+        if (!opt.profileOut.empty())
+            writeProfileSidecar(opt.profileOut, profile_, wallNs_);
+        if (trace_) {
+            std::ofstream traceFile(opt.traceOut);
+            if (!traceFile)
+                fatal("cannot open trace file '%s'", opt.traceOut.c_str());
+            trace_->writeJson(traceFile);
+            std::cout << "\ntrace written to " << opt.traceOut << " ("
+                      << trace_->recorded() << " events recorded, "
+                      << trace_->dropped() << " dropped)\n";
+        }
+        dev.ftl().checkConsistency();
+    }
+
+  private:
+    std::unique_ptr<trace::TraceSession> trace_;
+    std::unique_ptr<trace::CounterRegistry> counters_;
+    prof::ProfileData profile_;
+    double wallNs_ = 0.0;
+};
 
 /**
  * Multi-tenant mode: N tenant streams through per-tenant submission
@@ -680,12 +661,8 @@ runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
 {
     ssd::Ssd dev(config);
 
-    std::cout << "device: " << dev.chipCount() << " chips x "
-              << opt.blocks << " blocks ("
-              << dev.logicalPages() *
-                     config.chip.geometry.pageSizeBytes / kGiB
-              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
-              << "\ntenants:";
+    printBanner(opt, config, nullptr);
+    std::cout << "tenants:";
     for (const auto &spec : opt.tenants) {
         std::cout << ' ' << spec.name << "("
                   << (spec.workload.name.empty() ? "trace"
@@ -698,53 +675,13 @@ runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
         std::cout << " @ load " << opt.load;
     std::cout << '\n';
 
-    workload::MultiTenantOptions mtOptions;
-    mtOptions.openLoop = opt.openLoop;
-    mtOptions.load = opt.load;
-    mtOptions.window = opt.qd > 0 ? opt.qd : 64;
-    mtOptions.arbBurst = opt.arbBurst;
-    workload::MultiTenantDriver driver(dev, opt.tenants, mtOptions);
+    workload::MultiTenantDriver driver(
+        dev, opt.tenants,
+        {.openLoop = opt.openLoop, .load = opt.load,
+         .window = opt.qd > 0 ? opt.qd : 64, .arbBurst = opt.arbBurst});
 
-    std::cout << "prefilling..." << std::flush;
-    dev.setAging({opt.pe, 0.0});
-    driver.prefill(opt.prefillOverwrite);
-    dev.setAging({opt.pe, opt.retentionMonths});
-    std::cout << " done\n";
-
-    // As in the single-tenant path, tracing starts after the prefill
-    // so it covers the measured (and calibration) window only.
-    const std::uint64_t sampleIntervalUs =
-        opt.sampleIntervalSet ? opt.sampleIntervalUs
-                              : (opt.traceOut.empty() ? 0 : 1000);
-    std::unique_ptr<trace::TraceSession> traceSession;
-    if (!opt.traceOut.empty()) {
-        trace::TraceConfig traceConfig;
-        traceConfig.capacityEvents = opt.traceBuffer;
-        traceSession = std::make_unique<trace::TraceSession>(traceConfig);
-        dev.attachTrace(traceSession.get());
-    }
-    std::unique_ptr<trace::CounterRegistry> counterRegistry;
-    if (sampleIntervalUs > 0) {
-        counterRegistry = std::make_unique<trace::CounterRegistry>();
-        dev.registerCounters(*counterRegistry);
-        if (opt.profile)
-            prof::registerCounters(*counterRegistry);
-        counterRegistry->attachTrace(traceSession.get());
-        counterRegistry->installSampler(dev.queue(),
-                                        sampleIntervalUs * 1000);
-    }
-
-    std::cout << "running " << opt.requests << " requests..."
-              << std::flush;
-    const prof::ProfileData profBefore =
-        opt.profile ? prof::snapshot() : prof::ProfileData{};
-    const auto profT0 = std::chrono::steady_clock::now();
-    const auto result = driver.run(opt.requests);
-    const double profWallNs = wallNsSince(profT0);
-    const prof::ProfileData profData =
-        opt.profile ? prof::snapshot().since(profBefore)
-                    : prof::ProfileData{};
-    std::cout << " done\n\n";
+    MeasuredRun measured;
+    const auto result = measured.run(opt, dev, driver);
 
     metrics::Table summary({"metric", "value"});
     summary.row({"aggregate IOPS", metrics::format(result.iops, 0)});
@@ -761,11 +698,14 @@ runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
     metrics::Table table({"tenant", "weight", "iops", "rd p50 (us)",
                           "rd p99 (us)", "rd p99.9 (us)", "wr p99 (us)",
                           "slo", "violations"});
+    std::uint64_t failed = 0;
     for (const auto &t : result.tenants) {
+        const auto &statuses = t.metrics.statusCounts();
+        failed = std::accumulate(statuses.begin() + 1, statuses.end(),
+                                 failed);
         const auto &read = t.metrics.latency(ssd::IoType::Read);
         const auto &write = t.metrics.latency(ssd::IoType::Write);
-        std::string slo = "-";
-        std::string violations = "-";
+        std::string slo = "-", violations = "-";
         if (t.sloTarget > 0) {
             slo = metrics::format(
                       static_cast<double>(t.sloTarget) / 1000.0, 0) +
@@ -798,32 +738,12 @@ runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
     std::cout << '\n';
     metrics::gcStatsTable(dev.ftl().gcStats()).print(std::cout);
 
-    if (opt.profile) {
-        std::cout << '\n';
-        prof::report(std::cout, profData, profWallNs);
-    }
-
-    if (!opt.metricsOut.empty()) {
-        writeMultiTenantMetricsFile(opt.metricsOut, opt, dev, result,
-                                    counterRegistry.get(),
-                                    opt.profile ? &profData : nullptr,
-                                    profWallNs);
-        std::cout << "\nmetrics written to " << opt.metricsOut << '\n';
-    }
-    if (!opt.profileOut.empty())
-        writeProfileSidecar(opt.profileOut, profData, profWallNs);
-
-    if (traceSession) {
-        std::ofstream traceFile(opt.traceOut);
-        if (!traceFile)
-            fatal("cannot open trace file '%s'", opt.traceOut.c_str());
-        traceSession->writeJson(traceFile);
-        std::cout << "\ntrace written to " << opt.traceOut << " ("
-                  << traceSession->recorded() << " events recorded, "
-                  << traceSession->dropped() << " dropped)\n";
-    }
-
-    dev.ftl().checkConsistency();
+    const RunSummary run{.iops = result.iops, .elapsed = result.elapsed,
+                         .completed = result.completed, .failed = failed,
+                         .readOnly = dev.ftl().readOnly(),
+                         .calibratedIops = result.calibratedIops};
+    measured.finish(opt, dev, {.run = &run, .tenants = &result,
+                               .utilization = &result.utilization});
     return 0;
 }
 
@@ -838,37 +758,23 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
 {
     const unsigned jobs = sim::resolveJobs(opt.jobs, "CUBESSD_JOBS");
 
-    std::vector<workload::SweepCell> cells;
-    for (std::uint64_t s = 0; s < opt.seedCount; ++s) {
-        workload::SweepCell cell;
-        cell.config = config;
-        cell.config.seed = opt.seed + s;
-        cell.spec = spec;
-        cell.aging = {opt.pe, opt.retentionMonths};
-        cell.requests = opt.requests;
-        cell.prefillOverwrite = opt.prefillOverwrite;
-        cells.push_back(cell);
-    }
+    std::vector<workload::SweepCell> cells(
+        opt.seedCount, {.config = config, .spec = spec,
+                        .aging = {opt.pe, opt.retentionMonths},
+                        .requests = opt.requests,
+                        .prefillOverwrite = opt.prefillOverwrite});
+    for (std::uint64_t s = 0; s < opt.seedCount; ++s)
+        cells[s].config.seed = opt.seed + s;
+    const workload::SweepTrace trace{.out = opt.traceOut,
+                                     .sampleIntervalUs = opt.sampleIntervalUs,
+                                     .cell = 0};
 
-    workload::SweepTrace trace;
-    trace.out = opt.traceOut;
-    trace.sampleIntervalUs =
-        opt.sampleIntervalSet ? opt.sampleIntervalUs
-                              : (opt.traceOut.empty() ? 0 : 1000);
-    trace.cell = 0;
-
-    std::cout << "device: " << config.totalChips() << " chips x "
-              << opt.blocks << " blocks ("
-              << config.logicalPages() *
-                     config.chip.geometry.pageSizeBytes / kGiB
-              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
-              << "\nworkload: " << spec.name << " @ " << opt.pe
-              << " P/E + " << opt.retentionMonths
-              << " months retention\nsweep: " << opt.seedCount
-              << " seeds (" << opt.seed << ".." << opt.seed +
-                     opt.seedCount - 1 << "), " << jobs << " worker"
-              << (jobs == 1 ? "" : "s") << "\nrunning " << opt.seedCount
-              << " x " << opt.requests << " requests..." << std::flush;
+    printBanner(opt, config, &spec);
+    std::cout << "sweep: " << opt.seedCount << " seeds (" << opt.seed
+              << ".." << opt.seed + opt.seedCount - 1 << "), " << jobs
+              << " worker" << (jobs == 1 ? "" : "s") << "\nrunning "
+              << opt.seedCount << " x " << opt.requests
+              << " requests..." << std::flush;
 
     sim::SweepTelemetry telemetry;
     const auto results =
@@ -877,20 +783,27 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
 
     // Deterministic merge, strictly in seed (cell) order.
     double iopsSum = 0.0;
-    double iopsMin = 0.0, iopsMax = 0.0;
-    std::uint64_t completed = 0, failed = 0;
+    double iopsMin = results.front().run.iops, iopsMax = iopsMin;
+    std::uint64_t completed = 0, failed = 0, bufferPeakPages = 0;
     LatencyRecorder readUs, writeUs;
     metrics::RequestMetrics requests;
     ftl::FtlStats ftlStats;
     ftl::GcStats gcStats;
     bool anyReadOnly = false;
+    std::vector<RunSummary> summaries;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
+        summaries.push_back({.seed = cells[i].config.seed,
+                             .iops = r.run.iops, .elapsed = r.run.elapsed,
+                             .completed = r.run.completedRequests,
+                             .failed = r.run.failedRequests(),
+                             .readOnly = r.readOnly});
         iopsSum += r.run.iops;
-        iopsMin = i == 0 ? r.run.iops : std::min(iopsMin, r.run.iops);
-        iopsMax = i == 0 ? r.run.iops : std::max(iopsMax, r.run.iops);
+        iopsMin = std::min(iopsMin, r.run.iops);
+        iopsMax = std::max(iopsMax, r.run.iops);
         completed += r.run.completedRequests;
         failed += r.run.failedRequests();
+        bufferPeakPages = std::max(bufferPeakPages, r.bufferPeakPages);
         readUs.merge(r.run.readLatencyUs);
         writeUs.merge(r.run.writeLatencyUs);
         requests.merge(r.run.requestMetrics);
@@ -908,20 +821,7 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
     table.row({"completed requests", std::to_string(completed)});
     if (failed > 0 || opt.faults.enabled)
         table.row({"failed requests", std::to_string(failed)});
-    for (const double p : {50.0, 90.0, 99.0}) {
-        table.row({"write p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(writeUs.percentile(p) / 1000.0, 3)});
-        table.row({"read p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(readUs.percentile(p) / 1000.0, 3)});
-    }
-    table.row({"write amplification",
-               metrics::format(ftlStats.writeAmplification(), 2)});
-    table.row({"avg program latency (us)",
-               metrics::format(ftlStats.avgProgramLatencyUs(), 1)});
-    table.row({"leader / follower programs",
-               std::to_string(ftlStats.leaderPrograms) + " / " +
-                   std::to_string(ftlStats.followerPrograms)});
-    table.row({"read retries", std::to_string(ftlStats.readRetries)});
+    addLatencyAndFtlRows(table, readUs, writeUs, ftlStats);
     if (opt.faults.enabled)
         table.row({"any seed read-only", anyReadOnly ? "yes" : "no"});
     table.print(std::cout);
@@ -943,201 +843,40 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
         prof::report(std::cout, profData, busySumNs);
         if (!opt.profileOut.empty())
             writeProfileSidecar(opt.profileOut, profData, busySumNs);
-        // Worker telemetry goes to stderr: the sweep's stdout and its
-        // --metrics-out file are part of the --jobs bit-identity
-        // contract, and wall times are machine noise.
         reportWorkerTelemetry(telemetry);
     }
 
-    if (!opt.metricsOut.empty()) {
-        writeSweepMetricsFile(opt.metricsOut, opt, cells, results,
-                              requests, ftlStats, gcStats);
-        std::cout << "\nmetrics written to " << opt.metricsOut << '\n';
-    }
+    // The profile stays out of the document: its wall times would
+    // break the document's byte-identity across --jobs values.
+    if (!opt.metricsOut.empty())
+        writeMetrics(opt.metricsOut, opt, config,
+                     {.cells = &summaries, .requests = &requests,
+                      .ftl = &ftlStats, .bufferPeakPages = bufferPeakPages,
+                      .gc = &gcStats});
     return 0;
 }
 
-}  // namespace
-
+/** Single-run mode: one workload on one device. */
 int
-main(int argc, char **argv)
+runSingle(const Options &opt, const ssd::SsdConfig &config)
 {
-    const Options opt = parseArgs(argc, argv);
-
-    if (opt.profile) {
-        if (!prof::compiledIn()) {
-            std::cerr << "cubessd_sim: warning: this binary was built "
-                         "with CUBESSD_PROFILING=OFF; --profile will "
-                         "report no slots\n";
-        }
-        // Enabled before any Ssd or worker thread exists, so every
-        // thread observes the flag at creation.
-        prof::setEnabled(true);
-    }
-
-    ssd::SsdConfig config;
-    config.chip.geometry.blocksPerChip = opt.blocks;
-    config.chip.faults = opt.faults;
-    config.ftl = parseFtl(opt.ftl);
-    config.seed = opt.seed;
-    // In multi-tenant mode the WRR arbiter owns the in-flight window
-    // (--qd sizes it); the host queue underneath stays unbounded.
-    config.hostQueueDepth = opt.tenants.empty() ? opt.qd : 0;
-    if (const std::string err = config.validate(); !err.empty()) {
-        std::cerr << "cubessd_sim: invalid configuration: " << err
-                  << '\n';
-        return 2;
-    }
-
-    if (!opt.tenants.empty() && !opt.listCounters) {
-        if (const std::string err =
-                workload::validateTenants(opt.tenants);
-            !err.empty()) {
-            std::cerr << "cubessd_sim: invalid tenants: " << err
-                      << '\n';
-            return 2;
-        }
-        if (opt.seedCount > 1) {
-            std::cerr << "cubessd_sim: --seeds is not supported in "
-                         "multi-tenant mode\n";
-            return 2;
-        }
-        if (opt.openLoop && opt.load <= 0.0) {
-            for (const auto &spec : opt.tenants) {
-                if (spec.rate == 0.0) {
-                    std::cerr << "cubessd_sim: --open-loop needs "
-                                 "--load or an explicit rate= for "
-                                 "every tenant (tenant '"
-                              << spec.name << "' has neither)\n";
-                    return 2;
-                }
-            }
-        }
-        if (!opt.openLoop && opt.load > 0.0) {
-            std::cerr << "cubessd_sim: --load requires --open-loop\n";
-            return 2;
-        }
-        return runMultiTenant(opt, config);
-    }
-
-    if (opt.seedCount > 1 && !opt.listCounters) {
-        auto spec = parseWorkload(opt.workload);
-        if (opt.qd > 0) {
-            spec.burstLength = 0;
-            spec.queueDepth = opt.qd;
-        }
-        try {
-            return runSeedSweep(opt, config, spec);
-        } catch (const std::exception &e) {
-            // A failing cell surfaces here (annotated with its
-            // configuration) after the other cells finish; nothing
-            // has been written to --metrics-out at this point.
-            std::cerr << "cubessd_sim: " << e.what() << '\n';
-            return 1;
-        }
-    }
-
     ssd::Ssd dev(config);
-
-    if (opt.listCounters) {
-        trace::CounterRegistry registry;
-        dev.registerCounters(registry);
-        metrics::Table counters({"counter", "unit"});
-        for (std::size_t i = 0; i < registry.size(); ++i)
-            counters.row({registry.name(i), registry.unit(i)});
-        counters.print(std::cout);
-        return 0;
-    }
-
-    auto spec = parseWorkload(opt.workload);
-    if (opt.qd > 0) {
-        // Closed-loop QD sweep: a steady stream of `qd` in-flight
-        // requests through the bounded host queue, replacing the
-        // workload's native burst pacing.
-        spec.burstLength = 0;
-        spec.queueDepth = opt.qd;
-    }
-    std::cout << "device: " << dev.chipCount() << " chips x "
-              << opt.blocks << " blocks ("
-              << dev.logicalPages() *
-                     config.chip.geometry.pageSizeBytes / kGiB
-              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
-              << "\nworkload: " << spec.name << " @ " << opt.pe
-              << " P/E + " << opt.retentionMonths
-              << " months retention\n";
+    const auto spec = parseWorkload(opt.workload, opt.qd);
+    printBanner(opt, config, &spec);
 
     workload::WorkloadGenerator gen(spec, dev.logicalPages(),
                                     opt.seed + 7);
     workload::Driver driver(dev, gen);
-
-    std::cout << "prefilling..." << std::flush;
-    dev.setAging({opt.pe, 0.0});
-    driver.prefill(opt.prefillOverwrite);
-    dev.setAging({opt.pe, opt.retentionMonths});
-
-    // Tracing starts after the prefill so the ring buffer and the
-    // counter series cover the measured run, not the bulk setup
-    // writes. Counter sampling defaults on (1 ms cadence) whenever a
-    // trace is requested; an explicit --sample-interval-us always
-    // wins.
-    const std::uint64_t sampleIntervalUs =
-        opt.sampleIntervalSet ? opt.sampleIntervalUs
-                              : (opt.traceOut.empty() ? 0 : 1000);
-    std::unique_ptr<trace::TraceSession> traceSession;
-    if (!opt.traceOut.empty()) {
-        trace::TraceConfig traceConfig;
-        traceConfig.capacityEvents = opt.traceBuffer;
-        traceSession = std::make_unique<trace::TraceSession>(traceConfig);
-        dev.attachTrace(traceSession.get());
-    }
-    std::unique_ptr<trace::CounterRegistry> counterRegistry;
-    if (sampleIntervalUs > 0) {
-        counterRegistry = std::make_unique<trace::CounterRegistry>();
-        dev.registerCounters(*counterRegistry);
-        if (opt.profile)
-            prof::registerCounters(*counterRegistry);
-        counterRegistry->attachTrace(traceSession.get());
-        counterRegistry->installSampler(dev.queue(),
-                                        sampleIntervalUs * 1000);
-    }
-
-    std::cout << " done\nrunning " << opt.requests << " requests..."
-              << std::flush;
-    // Snapshot-delta around the measured run only: the prefill's cost
-    // is setup, not what --profile attributes.
-    const prof::ProfileData profBefore =
-        opt.profile ? prof::snapshot() : prof::ProfileData{};
-    const auto profT0 = std::chrono::steady_clock::now();
-    const auto result = driver.run(opt.requests);
-    const double profWallNs = wallNsSince(profT0);
-    const prof::ProfileData profData =
-        opt.profile ? prof::snapshot().since(profBefore)
-                    : prof::ProfileData{};
-    std::cout << " done\n\n";
+    MeasuredRun measured;
+    const auto result = measured.run(opt, dev, driver);
 
     metrics::Table table({"metric", "value"});
     table.row({"IOPS", metrics::format(result.iops, 0)});
     table.row({"simulated time",
                metrics::format(toSeconds(result.elapsed), 3) + " s"});
-    for (const double p : {50.0, 90.0, 99.0}) {
-        table.row({"write p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(
-                       result.writeLatencyUs.percentile(p) / 1000.0,
-                       3)});
-        table.row({"read p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(
-                       result.readLatencyUs.percentile(p) / 1000.0,
-                       3)});
-    }
     const auto &stats = dev.ftl().stats();
-    table.row({"write amplification",
-               metrics::format(stats.writeAmplification(), 2)});
-    table.row({"avg program latency (us)",
-               metrics::format(stats.avgProgramLatencyUs(), 1)});
-    table.row({"leader / follower programs",
-               std::to_string(stats.leaderPrograms) + " / " +
-                   std::to_string(stats.followerPrograms)});
-    table.row({"read retries", std::to_string(stats.readRetries)});
+    addLatencyAndFtlRows(table, result.readLatencyUs,
+                         result.writeLatencyUs, stats);
     table.row({"safety re-programs",
                std::to_string(stats.safetyReprograms)});
     if (opt.faults.enabled) {
@@ -1184,9 +923,7 @@ main(int argc, char **argv)
             std::cout << "\nORT hits by h-layer:\n";
             metrics::ortLayerTable(cube.ort()).print(std::cout);
         }
-        std::uint64_t vfyDone = 0;
-        std::uint64_t vfySkipped = 0;
-        std::uint64_t vfySavedNs = 0;
+        std::uint64_t vfyDone = 0, vfySkipped = 0, vfySavedNs = 0;
         for (std::uint32_t i = 0; i < dev.chipCount(); ++i) {
             vfyDone += dev.chip(i).stats().verifiesDone;
             vfySkipped += dev.chip(i).stats().verifiesSkipped;
@@ -1212,30 +949,102 @@ main(int argc, char **argv)
         chips.print(std::cout);
     }
 
-    if (opt.profile) {
-        std::cout << '\n';
-        prof::report(std::cout, profData, profWallNs);
-    }
-
-    if (!opt.metricsOut.empty()) {
-        writeMetricsFile(opt.metricsOut, opt, dev, result,
-                         counterRegistry.get(),
-                         opt.profile ? &profData : nullptr, profWallNs);
-        std::cout << "\nmetrics written to " << opt.metricsOut << '\n';
-    }
-    if (!opt.profileOut.empty())
-        writeProfileSidecar(opt.profileOut, profData, profWallNs);
-
-    if (traceSession) {
-        std::ofstream traceFile(opt.traceOut);
-        if (!traceFile)
-            fatal("cannot open trace file '%s'", opt.traceOut.c_str());
-        traceSession->writeJson(traceFile);
-        std::cout << "\ntrace written to " << opt.traceOut << " ("
-                  << traceSession->recorded() << " events recorded, "
-                  << traceSession->dropped() << " dropped)\n";
-    }
-
-    dev.ftl().checkConsistency();
+    const RunSummary run{.iops = result.iops, .elapsed = result.elapsed,
+                         .completed = result.completedRequests,
+                         .failed = result.failedRequests(),
+                         .readOnly = dev.ftl().readOnly()};
+    measured.finish(opt, dev, {.run = &run,
+                               .requests = &result.requestMetrics,
+                               .utilization = &result.utilization});
     return 0;
+}
+
+/** Print the sampled counters of this configuration's device. */
+int
+listCounters(const ssd::SsdConfig &config)
+{
+    ssd::Ssd dev(config);
+    trace::CounterRegistry registry;
+    dev.registerCounters(registry);
+    metrics::Table counters({"counter", "unit"});
+    for (std::size_t i = 0; i < registry.size(); ++i)
+        counters.row({registry.name(i), registry.unit(i)});
+    counters.print(std::cout);
+    return 0;
+}
+
+/** Fail with status 2 and `message` on stderr. */
+int
+reject(const std::string &message)
+{
+    std::cerr << "cubessd_sim: " << message << '\n';
+    return 2;
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    const Options opt = parseArgs(argc, argv);
+
+    if (opt.profile) {
+        if (!prof::compiledIn()) {
+            std::cerr << "cubessd_sim: warning: this binary was built "
+                         "with CUBESSD_PROFILING=OFF; --profile will "
+                         "report no slots\n";
+        }
+        // Enabled before any Ssd or worker thread exists, so every
+        // thread observes the flag at creation.
+        prof::setEnabled(true);
+    }
+
+    ssd::SsdConfig config;
+    config.chip.geometry.blocksPerChip = opt.blocks;
+    config.chip.faults = opt.faults;
+    config.ftl = parseFtl(opt.ftl);
+    config.seed = opt.seed;
+    // In multi-tenant mode the WRR arbiter owns the in-flight window
+    // (--qd sizes it); the host queue underneath stays unbounded.
+    config.hostQueueDepth = opt.tenants.empty() ? opt.qd : 0;
+    if (const std::string err = config.validate(); !err.empty())
+        return reject("invalid configuration: " + err);
+    if (opt.listCounters)
+        return listCounters(config);
+
+    if (!opt.tenants.empty()) {
+        if (const std::string err =
+                workload::validateTenants(opt.tenants);
+            !err.empty())
+            return reject("invalid tenants: " + err);
+        if (opt.seedCount > 1)
+            return reject("--seeds is not supported in multi-tenant mode");
+        if (opt.arbBurst == 0)
+            return reject("--arb-burst must be at least 1");
+        for (const auto &spec : opt.tenants)
+            if (opt.openLoop && opt.load <= 0.0 && spec.rate == 0.0)
+                return reject("--open-loop needs --load or an explicit "
+                              "rate= for every tenant (tenant '" +
+                              spec.name + "' has neither)");
+        if (!opt.openLoop && opt.load > 0.0)
+            return reject("--load requires --open-loop");
+        return runMultiTenant(opt, config);
+    }
+
+    if (opt.seedCount > 1) {
+        // A sweep traces one cell at the ring buffer's default size.
+        if (opt.traceBuffer)
+            return reject("--trace-buffer is not supported with --seeds");
+        try {
+            return runSeedSweep(opt, config,
+                                parseWorkload(opt.workload, opt.qd));
+        } catch (const std::exception &e) {
+            // A failing cell surfaces here (annotated with its
+            // configuration) after the other cells finish; nothing
+            // has been written to --metrics-out at this point.
+            std::cerr << "cubessd_sim: " << e.what() << '\n';
+            return 1;
+        }
+    }
+    return runSingle(opt, config);
 }
