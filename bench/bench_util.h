@@ -25,6 +25,7 @@
 #ifndef CUBESSD_BENCH_BENCH_UTIL_H
 #define CUBESSD_BENCH_BENCH_UTIL_H
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -88,22 +89,31 @@ parseBenchOptions(int argc, char **argv)
 {
     auto &options = traceOptions();
     for (int i = 1; i < argc; ++i) {
+        const char *flag = argv[i];
         const auto value = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for %s", argv[i]);
+                fatal("missing value for %s", flag);
             return argv[++i];
         };
-        if (std::strcmp(argv[i], "--trace-out") == 0)
+        // The whole value as a non-negative integer, or fatal.
+        const auto number = [&]<typename T>(T &out) {
+            const char *text = value();
+            const char *end = text + std::strlen(text);
+            const auto [ptr, ec] = std::from_chars(text, end, out);
+            if (ec != std::errc() || ptr != end)
+                fatal("invalid value '%s' for %s (expected a "
+                      "non-negative integer)", text, flag);
+        };
+        if (std::strcmp(flag, "--trace-out") == 0)
             options.out = value();
-        else if (std::strcmp(argv[i], "--sample-interval-us") == 0)
-            options.sampleIntervalUs =
-                static_cast<std::uint64_t>(std::atoll(value()));
-        else if (std::strcmp(argv[i], "--jobs") == 0)
-            cliJobs() = static_cast<unsigned>(std::atoi(value()));
+        else if (std::strcmp(flag, "--sample-interval-us") == 0)
+            number(options.sampleIntervalUs);
+        else if (std::strcmp(flag, "--jobs") == 0)
+            number(cliJobs());
         else
             fatal("unknown option '%s' (benches accept --trace-out "
                   "<file>, --sample-interval-us <n>, and --jobs <n>)",
-                  argv[i]);
+                  flag);
     }
 }
 

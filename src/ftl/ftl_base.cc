@@ -53,9 +53,8 @@ FtlBase::FtlBase(const ssd::SsdConfig &config,
     popScratch_.reserve(geom_.pagesPerWl);
 
     GcHost &host = *this;  // private base: convert inside class scope
-    gcEngine_ = std::make_unique<GcEngine>(
-        config_, chips_, blockMgrs_, mapping_, host,
-        makeGcPolicy(config_.gcPolicy), stats_);
+    gcEngine_ = std::make_unique<GcEngine>(config_, chips_, blockMgrs_,
+                                           mapping_, host, stats_);
 }
 
 const BlockManager &
@@ -726,6 +725,16 @@ FtlBase::checkReadOnly(std::uint32_t chip)
                             {{"chip", chip},
                              {"retired",
                               static_cast<std::int64_t>(retired)}});
+        // Writes parked on a full buffer may wait for flushes that
+        // now never land: fail them as a new write would be.
+        while (!stalled_.empty()) {
+            StalledWrite *write = stalled_.front();
+            stalled_.pop_front();
+            ++stats_.readOnlyRejects;
+            completeWithStatus(write->req, write->sink, write->sinkCtx,
+                               ssd::Status::ReadOnly);
+            stalledPool_.release(write);
+        }
     }
 }
 

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <thread>
 #include <vector>
+
+#include "src/common/logging.h"
 
 namespace cubessd::sim {
 
@@ -151,14 +155,15 @@ resolveJobs(unsigned cliJobs, const char *envVar)
 {
     if (cliJobs > 0)
         return cliJobs;
-    if (envVar != nullptr) {
-        if (const char *env = std::getenv(envVar)) {
-            const long parsed = std::strtol(env, nullptr, 10);
-            if (parsed > 0)
-                return static_cast<unsigned>(parsed);
-        }
-    }
-    return 1;
+    const char *env = envVar != nullptr ? std::getenv(envVar) : nullptr;
+    if (env == nullptr)
+        return 1;
+    unsigned jobs = 0;
+    const char *end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, jobs);
+    if (ec != std::errc() || ptr != end || jobs == 0)
+        fatal("%s: '%s' is not a positive integer", envVar, env);
+    return jobs;
 }
 
 }  // namespace cubessd::sim

@@ -117,8 +117,9 @@ class SweepRunner
 
 /**
  * Resolve a worker count from a command line and an environment:
- * an explicit CLI value > 0 wins; else a positive integer in the
- * named environment variable (ignored if unparsable); else 1.
+ * an explicit CLI value > 0 wins; else the named environment
+ * variable, which must then hold a positive integer (fatal
+ * otherwise, naming the variable); else 1.
  */
 unsigned resolveJobs(unsigned cliJobs, const char *envVar);
 

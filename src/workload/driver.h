@@ -11,6 +11,10 @@
  *    idles for `interBurstGap` before the next one. This is the
  *    pattern under which the WAM's leader/follower steering pays off
  *    (slow leader programs are deferred into the idle gaps).
+ *
+ * MultiTenantDriver and replayTrace() share its prefillDevice(),
+ * MeasuredWindow (elapsed time and utilization) and RunResult
+ * recording.
  */
 
 #ifndef CUBESSD_WORKLOAD_DRIVER_H
@@ -26,6 +30,44 @@
 #include "src/workload/workload.h"
 
 namespace cubessd::workload {
+
+/** Contiguous logical-page range [base, base + pages). */
+struct LbaSpan
+{
+    Lba base = 0;
+    std::uint64_t pages = 0;
+};
+
+/**
+ * Fill the whole logical space sequentially, then overwrite
+ * `overwriteFraction` x pages random single pages of each span in
+ * turn, draining between spans. Writes go straight into the host
+ * queue, 64 deep.
+ */
+void prefillDevice(ssd::Ssd &ssd, const std::vector<LbaSpan> &overwrite,
+                   double overwriteFraction);
+
+/** A measured window, opened at construction: its elapsed time and
+ *  channel/die utilization so far. */
+class MeasuredWindow
+{
+  public:
+    explicit MeasuredWindow(ssd::Ssd &ssd)
+        : ssd_(ssd), start_(ssd.queue().now()), busy_(busyTimes())
+    {
+    }
+
+    SimTime elapsed() const { return ssd_.queue().now() - start_; }
+    metrics::Utilization utilization() const;
+
+  private:
+    /** Busy time of every channel, then of every die. */
+    std::vector<SimTime> busyTimes() const;
+
+    ssd::Ssd &ssd_;
+    SimTime start_;
+    std::vector<SimTime> busy_;  ///< busyTimes() at the opening
+};
 
 /** Result of one measured run. */
 struct RunResult
@@ -47,6 +89,12 @@ struct RunResult
     /** Channel/die busy fractions over the measured window. */
     metrics::Utilization utilization;
 
+    /** Count one completion and add its latencies. */
+    void record(const ssd::Completion &c);
+
+    /** Set elapsed, iops and utilization at the end of `window`. */
+    void close(const MeasuredWindow &window);
+
     /** Completions that did not finish with Status::Ok. */
     std::uint64_t
     failedRequests() const
@@ -64,9 +112,8 @@ class Driver final : public ssd::CompletionSink, public sim::EventHandler
     Driver(ssd::Ssd &ssd, WorkloadGenerator &generator);
 
     /**
-     * Fill the whole logical space sequentially, then randomly
-     * overwrite the requested fraction of the generator's working
-     * set, so measurements run against a full, GC-active device.
+     * prefillDevice() over the generator's working set, so
+     * measurements run against a full, GC-active device.
      */
     void prefill(double overwriteFraction = 0.3);
 
@@ -74,7 +121,7 @@ class Driver final : public ssd::CompletionSink, public sim::EventHandler
     RunResult run(std::uint64_t requests);
 
     /** ssd::CompletionSink: a submitted request completed (ctx is the
-     *  submitting thread, or the prefill sentinel). */
+     *  submitting thread). */
     void onCompletion(const ssd::Completion &completion,
                       std::uint64_t ctx) override;
 
@@ -83,10 +130,6 @@ class Driver final : public ssd::CompletionSink, public sim::EventHandler
                  const sim::EventPayload &payload) override;
 
   private:
-    /** onCompletion ctx marking a prefill (unmeasured) request. */
-    static constexpr std::uint64_t kPrefillCtx =
-        ~static_cast<std::uint64_t>(0);
-
     struct ThreadState
     {
         std::uint64_t outstanding = 0;
@@ -105,8 +148,6 @@ class Driver final : public ssd::CompletionSink, public sim::EventHandler
     std::uint64_t toSubmit_ = 0;
     std::uint64_t outstanding_ = 0;
     std::vector<ThreadState> threads_;
-    SimTime runStart_ = 0;
-    std::uint64_t prefillOutstanding_ = 0;
 };
 
 }  // namespace cubessd::workload

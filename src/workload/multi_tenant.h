@@ -20,7 +20,9 @@
  *
  * Per-tenant accounting (latency histograms with p50/p99/p99.9, SLO
  * violation counts, arbitration counters) keys off Completion::tenant,
- * which the pipeline carries through untouched.
+ * which the pipeline carries through untouched. The prefill and the
+ * measured window's utilization are Driver's (prefillDevice(),
+ * MeasuredWindow in driver.h), run over every tenant's namespace.
  *
  * The driver expects the Ssd to be configured with hostQueueDepth 0
  * (unbounded): the arbiter owns the in-flight window, and a bounded
@@ -39,6 +41,7 @@
 #include "src/metrics/request_metrics.h"
 #include "src/ssd/arbiter.h"
 #include "src/ssd/ssd.h"
+#include "src/workload/driver.h"
 #include "src/workload/tenant.h"
 #include "src/workload/workload.h"
 
@@ -62,13 +65,6 @@ struct MultiTenantOptions
     std::uint32_t closedLoopQd = 16;
     /** Closed-loop requests used to calibrate device capacity. */
     std::uint64_t calibrationRequests = 4000;
-};
-
-/** Contiguous logical-page slice owned by one tenant. */
-struct TenantNamespace
-{
-    Lba base = 0;
-    std::uint64_t pages = 0;
 };
 
 /** Measured outcome of one tenant stream. */
@@ -120,9 +116,9 @@ class MultiTenantDriver final : public ssd::CompletionSink,
                       const MultiTenantOptions &options);
 
     /**
-     * Sequentially fill the whole logical space, then randomly
-     * overwrite a fraction of every tenant's namespace, so the run
-     * measures a full, GC-active device.
+     * prefillDevice() over every tenant's namespace (its generator's
+     * working set), in tenant order, so the run measures a full,
+     * GC-active device. Setup traffic does not arbitrate.
      */
     void prefill(double overwriteFraction = 0.3);
 
@@ -142,19 +138,14 @@ class MultiTenantDriver final : public ssd::CompletionSink,
     {
         return static_cast<std::uint32_t>(tenants_.size());
     }
-    const TenantSpec &spec(std::uint32_t tenant) const
-    {
-        return tenants_[tenant].spec;
-    }
     /** The logical-page slice tenant `tenant` issues against. */
-    const TenantNamespace &nameSpace(std::uint32_t tenant) const
+    const LbaSpan &nameSpace(std::uint32_t tenant) const
     {
         return tenants_[tenant].ns;
     }
-    ssd::WrrArbiter &arbiter() { return arbiter_; }
 
     /** ssd::CompletionSink: a tenant's request completed (ctx is the
-     *  tenant index, or the prefill sentinel). */
+     *  tenant index). */
     void onCompletion(const ssd::Completion &completion,
                       std::uint64_t ctx) override;
 
@@ -164,16 +155,12 @@ class MultiTenantDriver final : public ssd::CompletionSink,
                  const sim::EventPayload &payload) override;
 
   private:
-    /** onCompletion ctx marking a prefill (unmeasured) request. */
-    static constexpr std::uint64_t kPrefillCtx =
-        ~static_cast<std::uint64_t>(0);
-
     enum class Phase { Idle, Calibrate, Measure };
 
     struct TenantState
     {
         TenantSpec spec;
-        TenantNamespace ns;
+        LbaSpan ns;  ///< the tenant's logical-page slice
         /** Synthetic generator sized to the namespace (null for
          *  trace-driven tenants). */
         std::unique_ptr<WorkloadGenerator> generator;
@@ -203,7 +190,6 @@ class MultiTenantDriver final : public ssd::CompletionSink,
     Phase phase_ = Phase::Idle;
     std::uint64_t toSubmit_ = 0;
     std::uint64_t outstanding_ = 0;
-    std::uint64_t prefillOutstanding_ = 0;
     std::uint64_t calibrationCompleted_ = 0;
     double calibratedIops_ = 0.0;
 };

@@ -3,9 +3,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/units.h"
 
 namespace cubessd::workload {
 
@@ -170,43 +170,34 @@ TraceReader::readFile(const std::string &path)
 
 namespace {
 
-/** Folds replay completions into a ReplayResult (typed sink — the
+/** Records replay completions into a RunResult (typed sink: the
  *  replay path stays closure-free like the drivers). */
 struct ReplaySink final : ssd::CompletionSink
 {
-    ReplayResult *result = nullptr;
+    RunResult result;
 
     void onCompletion(const ssd::Completion &c, std::uint64_t) override
     {
-        auto &rec = c.type == ssd::IoType::Read
-                        ? result->readLatencyUs
-                        : result->writeLatencyUs;
-        rec.add(toMicroseconds(c.latency()));
-        ++result->completed;
+        result.record(c);
     }
 };
 
 }  // namespace
 
-ReplayResult
+RunResult
 replayTrace(ssd::Ssd &ssd,
             const std::vector<ssd::HostRequest> &requests)
 {
-    ReplayResult result;
     ReplaySink sink;
-    sink.result = &result;
+    const MeasuredWindow window(ssd);
     const SimTime start = ssd.queue().now();
     for (auto req : requests) {
         req.arrival += start;  // replay relative to "now"
         ssd.submit(req, &sink);
     }
     ssd.queue().run();
-    result.elapsed = ssd.queue().now() - start;
-    result.iops = result.elapsed > 0
-        ? static_cast<double>(result.completed) /
-              toSeconds(result.elapsed)
-        : 0.0;
-    return result;
+    sink.result.close(window);
+    return std::move(sink.result);
 }
 
 }  // namespace cubessd::workload

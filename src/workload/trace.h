@@ -8,7 +8,8 @@
  *
  * Lines starting with '#' are comments. TraceWriter captures a
  * generated or live request stream; TraceReader loads it back, and
- * replayTrace() submits it open-loop at the recorded arrival times.
+ * replayTrace() submits it open-loop at the recorded arrival times,
+ * recording every completion into a RunResult, as Driver::run does.
  *
  * TraceReader also auto-detects the MSR-Cambridge block-trace CSV
  * format (SNIA IOTTA, one record per line):
@@ -27,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/ssd/ssd.h"
 #include "src/ssd/request.h"
+#include "src/workload/driver.h"
 
 namespace cubessd::workload {
 
@@ -68,22 +69,13 @@ class TraceReader
                              std::vector<ssd::HostRequest> *requests);
 };
 
-/** Latency/IOPS summary of a replay. */
-struct ReplayResult
-{
-    std::uint64_t completed = 0;
-    SimTime elapsed = 0;
-    double iops = 0.0;
-    LatencyRecorder readLatencyUs;
-    LatencyRecorder writeLatencyUs;
-};
-
 /**
  * Submit every request at its recorded arrival time (open loop) and
- * run to completion.
+ * run to completion; the measured window runs from the call until
+ * the queue empties.
  */
-ReplayResult replayTrace(ssd::Ssd &ssd,
-                         const std::vector<ssd::HostRequest> &requests);
+RunResult replayTrace(ssd::Ssd &ssd,
+                      const std::vector<ssd::HostRequest> &requests);
 
 }  // namespace cubessd::workload
 

@@ -12,6 +12,8 @@
 #include "src/ftl/ftl_base.h"
 #include "src/nand/fault_injector.h"
 #include "src/ssd/ssd.h"
+#include "src/workload/driver.h"
+#include "src/workload/multi_tenant.h"
 #include "tests/callback_sink.h"
 
 namespace cubessd {
@@ -275,6 +277,41 @@ TEST(FaultDevice, QueueDepthOneBackpressureWithFailures)
     EXPECT_TRUE(dev.ftl().readOnly());
     EXPECT_GT(readOnlyCompletions, 0u);
     dev.ftl().checkConsistency();
+}
+
+TEST(FaultDevice, PrefillAtHalfProgramFailRateEndsReadOnly)
+{
+    // At a 50% program-failure rate the spare pools run out during the
+    // fill while writes sit parked on a full buffer behind flushes
+    // that can no longer land. Entering read-only mode must complete
+    // those writes, or the prefill waits forever on them.
+    const auto expectDrainedReadOnly = [](ssd::Ssd &dev) {
+        EXPECT_TRUE(dev.ftl().readOnly());
+        const auto &queue = dev.hostQueue().stats();
+        EXPECT_GT(queue.submitted, 0u);
+        EXPECT_EQ(queue.completed, queue.submitted);
+        EXPECT_EQ(dev.hostQueue().inFlight(), 0u);
+        EXPECT_GT(dev.ftl().stats().readOnlyRejects, 0u);
+        dev.ftl().checkConsistency();
+    };
+    {
+        ssd::Ssd dev(faultConfig(0.5));
+        workload::WorkloadGenerator gen(workload::oltp(),
+                                        dev.logicalPages(), 1);
+        workload::Driver driver(dev, gen);
+        driver.prefill(0.3);
+        expectDrainedReadOnly(dev);
+    }
+    {
+        ssd::Ssd dev(faultConfig(0.5));
+        std::vector<workload::TenantSpec> specs;
+        ASSERT_EQ(workload::parseTenantList("A:readhot,B:writeheavy",
+                                            &specs),
+                  "");
+        workload::MultiTenantDriver driver(dev, specs, {});
+        driver.prefill(0.3);
+        expectDrainedReadOnly(dev);
+    }
 }
 
 // ---------------------------------------------------------------------

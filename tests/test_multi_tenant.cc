@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/ftl/ftl_base.h"
 #include "src/ssd/arbiter.h"
 #include "src/ssd/ssd.h"
 #include "src/workload/multi_tenant.h"
@@ -468,6 +469,34 @@ TEST(MultiTenantDriver, OpenLoopExplicitRatesAndSloAccounting)
     EXPECT_EQ(fast.sloViolations, fast.completed);
     EXPECT_DOUBLE_EQ(fast.sloViolationFraction(), 1.0);
     EXPECT_EQ(slow.sloViolations, 0u);
+}
+
+TEST(MultiTenantDriver, PrefillPinsDeviceState)
+{
+    // Exact device state after a two-tenant prefill with explicit
+    // namespaces: the fill, then each tenant's overwrites in tenant
+    // order, including the GC they trigger. Any change to the prefill's
+    // request stream, RNG draws or draining shows up here.
+    auto config = mtConfig();
+    config.logicalFraction = 0.75;
+    ssd::Ssd dev(config);
+    std::vector<workload::TenantSpec> specs;
+    ASSERT_EQ(workload::parseTenantList(
+                  "A:readhot:ns=0.3,B:writeheavy:ns=0.7", &specs),
+              "");
+    workload::MultiTenantDriver driver(dev, specs, {});
+    driver.prefill(1.0);
+
+    EXPECT_EQ(driver.nameSpace(0).pages, 1036u);
+    EXPECT_EQ(driver.nameSpace(1).base, 1036u);
+    EXPECT_EQ(driver.nameSpace(1).pages, 2419u);
+    const auto &ftl = dev.ftl().stats();
+    EXPECT_EQ(ftl.hostWritePages, 4733u);
+    EXPECT_EQ(ftl.hostPrograms, 1559u);
+    EXPECT_EQ(ftl.gcPrograms, 310u);
+    EXPECT_EQ(dev.ftl().gcStats().collections, 18u);
+    EXPECT_EQ(dev.ftl().gcStats().relocatedPages, 919u);
+    EXPECT_EQ(dev.queue().now(), 807180160u);
 }
 
 TEST(MultiTenantDriver, CompletionsCarryTenantTags)

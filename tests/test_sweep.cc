@@ -236,10 +236,14 @@ TEST(ResolveJobs, CliWinsThenEnvThenOne)
     ::setenv(kVar, "5", 1);
     EXPECT_EQ(sim::resolveJobs(0, kVar), 5u);
     EXPECT_EQ(sim::resolveJobs(2, kVar), 2u);
-    ::setenv(kVar, "bogus", 1);
-    EXPECT_EQ(sim::resolveJobs(0, kVar), 1u);
-    ::setenv(kVar, "-4", 1);
-    EXPECT_EQ(sim::resolveJobs(0, kVar), 1u);
+    // A set value that is not a positive integer is an error naming
+    // the variable, not a silent fallback or a prefix parse.
+    for (const char *bad : {"bogus", "-4", "3x", "0"}) {
+        ::setenv(kVar, bad, 1);
+        EXPECT_EXIT(sim::resolveJobs(0, kVar),
+                    ::testing::ExitedWithCode(1), kVar)
+            << bad;
+    }
     ::unsetenv(kVar);
 }
 

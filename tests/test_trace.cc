@@ -83,13 +83,30 @@ TEST(Trace, ReplayCompletesAllRequests)
         t += 100 * kMicrosecond;
         requests.push_back(req);
     }
+    std::uint64_t reads = 0;
+    for (const auto &req : requests)
+        reads += req.type == ssd::IoType::Read ? 1 : 0;
+    const std::uint64_t writes = requests.size() - reads;
+
     const auto result = replayTrace(dev, requests);
-    EXPECT_EQ(result.completed, requests.size());
+    EXPECT_EQ(result.completedRequests, requests.size());
     EXPECT_GT(result.iops, 0.0);
     EXPECT_GT(result.elapsed, 0u);
-    EXPECT_GT(result.readLatencyUs.count() +
-                  result.writeLatencyUs.count(),
-              0u);
+    EXPECT_EQ(result.readLatencyUs.count(), reads);
+    EXPECT_EQ(result.writeLatencyUs.count(), writes);
+
+    // Every replayed request lands in exactly one status bucket and
+    // in the per-IoType histograms.
+    std::uint64_t byStatus = 0;
+    for (const std::uint64_t n : result.statusCounts)
+        byStatus += n;
+    EXPECT_EQ(byStatus, requests.size());
+    EXPECT_EQ(result.statusCounts[0] + result.failedRequests(),
+              requests.size());
+    EXPECT_EQ(result.requestMetrics.recorded(ssd::IoType::Read), reads);
+    EXPECT_EQ(result.requestMetrics.recorded(ssd::IoType::Write), writes);
+    EXPECT_EQ(result.queueWaitUs.count(), requests.size());
+    EXPECT_EQ(result.utilization.window, result.elapsed);
     dev.ftl().checkConsistency();
 }
 

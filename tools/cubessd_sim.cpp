@@ -769,10 +769,12 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
                                      .sampleIntervalUs = opt.sampleIntervalUs,
                                      .cell = 0};
 
+    // SweepRunner starts no more threads than there are cells.
+    const auto workers = std::min<std::uint64_t>(jobs, opt.seedCount);
     printBanner(opt, config, &spec);
     std::cout << "sweep: " << opt.seedCount << " seeds (" << opt.seed
-              << ".." << opt.seed + opt.seedCount - 1 << "), " << jobs
-              << " worker" << (jobs == 1 ? "" : "s") << "\nrunning "
+              << ".." << opt.seed + opt.seedCount - 1 << "), " << workers
+              << " worker" << (workers == 1 ? "" : "s") << "\nrunning "
               << opt.seedCount << " x " << opt.requests
               << " requests..." << std::flush;
 
